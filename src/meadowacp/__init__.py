@@ -63,12 +63,13 @@ from .terms import (
 )
 from .normalize import (
     BasicTerm,
+    Engine,
     GuardChainMismatch,
     Summand,
     embed,
     equal_terms,
-    head_normal_form,
     is_atomic,
+    normal_forms,
     normalize,
 )
 from .lts import LTS, bisimilar, build_lts, to_dot

@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lts import bisimilar, build_lts
 from .meadow import (
     MeadowKind,
     MeadowValue,
     QAdd,
-    QConst,
     QInv,
     QMul,
     QNeg,
@@ -34,7 +32,7 @@ from .meadow import (
     quantity_literal,
     random_rational,
 )
-from .normalize import equal_terms, is_atomic, normalize
+from .normalize import BasicTerm, normal_forms, normalize
 from .report import AxiomReport, AxiomResult
 from .speclang import pretty_term
 from .terms import (
@@ -463,28 +461,28 @@ DERIVED_AXIOM_IDS = [a.id for a in DERIVED_AXIOMS]
 
 def _check_eq_instance(
     lhs: ProcessTerm, rhs: ProcessTerm, ctx: SpecContext
-) -> bool:
-    by_normal_form = equal_terms(lhs, rhs, ctx)
+) -> Tuple[bool, BasicTerm, BasicTerm]:
+    """The verdict on lhs = rhs, with both normal forms."""
+    nf_lhs, nf_rhs = normal_forms((lhs, rhs), ctx)
+    by_normal_form = nf_lhs is nf_rhs
     by_oracle = bisimilar(build_lts(lhs, ctx), build_lts(rhs, ctx))
     if by_normal_form != by_oracle:
         raise OracleDisagreement(
             f"normal forms say {by_normal_form}, bisimulation says {by_oracle} "
             f"for {pretty_term(lhs)} = {pretty_term(rhs)}"
         )
-    return by_normal_form
+    return by_normal_form, nf_lhs, nf_rhs
 
 
 def _check_isact_instance(schema: AxiomSchema, s: dict, ctx: SpecContext) -> bool:
     term, expected = schema.build(s)
+    nf = normalize(term, ctx)
     if expected is None:
         # comm merge of two atomic actions: atomic whenever the
         # synchronization exists; a failed synchronization is deadlock,
         # which the least atomic-action predicate excludes (vacuous here)
-        nf = normalize(term, ctx)
-        if nf.is_deadlock:
-            return True
-        return is_atomic(term, ctx)
-    return is_atomic(term, ctx) == expected
+        return nf.is_deadlock or nf.is_atomic
+    return nf.is_atomic == expected
 
 
 def _run_schema(
@@ -507,24 +505,23 @@ def _run_schema(
         else:
             s = _std_sample(schema.specs, i, rng, gen, ctx)
         checked += 1
+        # instances are rendered only when they fail
         if schema.kind == "isact":
-            ok = _check_isact_instance(schema, s, ctx)
-            lhs_str = rhs_str = ""
-            if not ok:
-                lhs_str = pretty_term(schema.build(s)[0])
+            if _check_isact_instance(schema, s, ctx):
+                continue
+            counterexample = {"instance": pretty_term(schema.build(s)[0])}
         else:
             lhs, rhs = schema.build(s)
-            ok = _check_eq_instance(lhs, rhs, ctx)
-            lhs_str, rhs_str = pretty_term(lhs), pretty_term(rhs)
-        if not ok:
-            status = "fail"
+            ok, nf_lhs, nf_rhs = _check_eq_instance(lhs, rhs, ctx)
+            if ok:
+                continue
             counterexample = {
-                "instance": f"{lhs_str} = {rhs_str}" if rhs_str else lhs_str,
+                "instance": f"{pretty_term(lhs)} = {pretty_term(rhs)}",
+                "lhs_normal_form": str(nf_lhs),
+                "rhs_normal_form": str(nf_rhs),
             }
-            if schema.kind == "eq":
-                counterexample["lhs_normal_form"] = str(normalize(lhs, ctx))
-                counterexample["rhs_normal_form"] = str(normalize(rhs, ctx))
-            break
+        status = "fail"
+        break
     return AxiomResult(
         id=schema.id,
         name=schema.name,

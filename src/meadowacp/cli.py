@@ -20,7 +20,7 @@ from .axioms import (
 )
 from .lts import bisimilar, build_lts, to_dot
 from .meadow import MeadowError, MeadowKind, check_meadow_axioms
-from .normalize import GuardChainMismatch, equal_terms, normalize
+from .normalize import GuardChainMismatch, normal_forms, normalize
 from .speclang import SpecError, parse_spec, parse_term
 from .terms import ProcessError, SpecContext
 
@@ -56,9 +56,9 @@ def cmd_equiv(args) -> int:
     ctx = _load_spec(args.spec)
     t1 = parse_term(args.term1, ctx)
     t2 = parse_term(args.term2, ctx)
-    by_nf = equal_terms(t1, t2, ctx)
+    nf1, nf2 = normal_forms((t1, t2), ctx)
+    by_nf = nf1 is nf2
     by_oracle = bisimilar(build_lts(t1, ctx), build_lts(t2, ctx))
-    nf1, nf2 = str(normalize(t1, ctx)), str(normalize(t2, ctx))
     if by_nf != by_oracle:
         print(
             f"internal disagreement: normal forms say "
@@ -71,7 +71,11 @@ def cmd_equiv(args) -> int:
     if args.json:
         print(
             json.dumps(
-                {"verdict": verdict, "normal_form_1": nf1, "normal_form_2": nf2},
+                {
+                    "verdict": verdict,
+                    "normal_form_1": str(nf1),
+                    "normal_form_2": str(nf2),
+                },
                 sort_keys=True,
             )
         )
@@ -109,9 +113,7 @@ def cmd_lts(args) -> int:
     return 0
 
 
-def _print_report(report, as_json: bool) -> None:
-    if as_json:
-        return  # caller aggregates
+def _print_report(report) -> None:
     header = f"[{report.suite}] meadow={report.meadow} mode={report.mode}"
     print(header)
     for r in report.axioms:
@@ -146,7 +148,7 @@ def cmd_axioms(args) -> int:
         print(json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True))
     else:
         for r in reports:
-            _print_report(r, as_json=False)
+            _print_report(r)
         print("RESULT: " + ("FAIL" if failed else "PASS"))
     return 1 if failed else 0
 

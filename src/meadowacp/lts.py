@@ -12,16 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .normalize import _hnf
-from .terms import (
-    ActionLiteral,
-    ProcessTerm,
-    SpecContext,
-    free_process_vars,
-    free_quantity_vars,
-    inline_definitions,
-)
-from .normalize import _check_closed_ground
+from .normalize import Engine, _check_closed_ground, _hnf
+from .terms import ActionLiteral, ProcessTerm, SpecContext, inline_definitions
 
 
 @dataclass
@@ -44,7 +36,9 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     t = inline_definitions(t, ctx, strict=False)
     _check_closed_ground(t)
 
-    cache: dict = {}
+    # an engine of its own: the oracle shares no cached result with the
+    # normal forms it checks
+    engine = Engine(ctx)
     index: Dict[ProcessTerm, int] = {t: 0}
     labels = [_short_label(t)]
     transitions: Set[Tuple[int, ActionLiteral, int]] = set()
@@ -53,7 +47,7 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     while work:
         term = work.pop()
         src = index[term]
-        for action, residual in _hnf(term, ctx, cache, debug=False):
+        for action, residual in _hnf(engine, term):
             if residual is None:
                 if done is None:
                     done = len(labels)

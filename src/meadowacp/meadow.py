@@ -16,7 +16,7 @@ variables; :func:`eval_quantity` interprets them in a concrete meadow.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 

@@ -10,7 +10,7 @@ what :func:`equal_terms` decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .meadow import cached_hash, eval_quantity, memo_attr, quantity_literal
 from .terms import (
@@ -70,7 +70,11 @@ class Summand:
 @cached_hash
 @dataclass(frozen=True)
 class BasicTerm:
-    """A canonical normal form: sorted, duplicate-free tuple of summands."""
+    """A canonical normal form: sorted, duplicate-free tuple of summands.
+
+    Equality is by value.  Normal forms from one :class:`Engine` share
+    every equal node, so comparing them stops at the first level.
+    """
 
     summands: Tuple[Summand, ...]
 
@@ -82,6 +86,11 @@ class BasicTerm:
     @property
     def is_deadlock(self) -> bool:
         return not self.summands
+
+    @property
+    def is_atomic(self) -> bool:
+        """A single summand that terminates immediately."""
+        return len(self.summands) == 1 and self.summands[0].continuation is None
 
     def sort_key(self):
         return memo_attr(
@@ -153,16 +162,14 @@ def _eval_args(t: DataAction, ctx: SpecContext) -> ActionLiteral:
 
 
 def _comm_summand(
+    engine: "Engine",
     a1: ActionLiteral,
     k1: Optional[ProcessTerm],
     a2: ActionLiteral,
     k2: Optional[ProcessTerm],
-    ctx: SpecContext,
-    cache: dict,
-    debug: bool,
 ) -> FrozenSet[HeadSummand]:
     """Synchronize two head summands, or drop them (deadlock)."""
-    name = ctx.comm.gamma(a1.name, a2.name)
+    name = engine.ctx.comm.gamma(a1.name, a2.name)
     if name is None or len(a1.args) != len(a2.args):
         return frozenset()
     residual = _par_residual(k1, k2)
@@ -171,8 +178,8 @@ def _comm_summand(
         direct = frozenset({(ActionLiteral(name, a1.args), residual)})
     else:
         direct = frozenset()
-    if debug and a1.args:
-        chain = _guard_chain_route(a1, a2, name, residual, ctx, cache)
+    if engine.debug_guard_chain and a1.args:
+        chain = _guard_chain_route(engine, a1, a2, name, residual)
         if chain != direct:
             raise GuardChainMismatch(
                 f"{a1} | {a2}: direct route {sorted(map(str, direct))} vs "
@@ -182,12 +189,11 @@ def _comm_summand(
 
 
 def _guard_chain_route(
+    engine: "Engine",
     a1: ActionLiteral,
     a2: ActionLiteral,
     name: str,
     residual: Optional[ProcessTerm],
-    ctx: SpecContext,
-    cache: dict,
 ) -> FrozenSet[HeadSummand]:
     """Build the guard-chain term (u1-v1) -> (... -> e''(u1..un)) and take
     its head normal form, as a cross-check of the direct equality test."""
@@ -202,18 +208,17 @@ def _guard_chain_route(
     for u, v in reversed(list(zip(a1.args, a2.args))):
         diff = QAdd(quantity_literal(u.as_fraction()), QNeg(quantity_literal(v.as_fraction())))
         term = Guard(diff, term)
-    hnf = _hnf(term, ctx, cache, debug=False)
-    # re-split prefixed actions back into (literal, residual) pairs
-    return hnf
+    # the chain holds no communication merge, so the cross-check cannot recurse
+    return _hnf(engine, term)
 
 
-def _hnf(
-    t: ProcessTerm, ctx: SpecContext, cache: dict, debug: bool
-) -> FrozenSet[HeadSummand]:
+def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
+    cache = engine.hnf_cache
     hit = cache.get(t)
     if hit is not None:
         return hit
 
+    ctx = engine.ctx
     if isinstance(t, Deadlock):
         out: FrozenSet[HeadSummand] = frozenset()
     elif isinstance(t, Action):
@@ -221,39 +226,36 @@ def _hnf(
     elif isinstance(t, DataAction):
         out = frozenset({(_eval_args(t, ctx), None)})
     elif isinstance(t, Alt):
-        out = _hnf(t.lhs, ctx, cache, debug) | _hnf(t.rhs, ctx, cache, debug)
+        out = _hnf(engine, t.lhs) | _hnf(engine, t.rhs)
     elif isinstance(t, Seq):
-        out = frozenset(
-            (a, _seq_residual(k, t.rhs)) for a, k in _hnf(t.lhs, ctx, cache, debug)
-        )
+        out = frozenset((a, _seq_residual(k, t.rhs)) for a, k in _hnf(engine, t.lhs))
     elif isinstance(t, Par):
         out = (
-            _hnf(LeftMerge(t.lhs, t.rhs), ctx, cache, debug)
-            | _hnf(LeftMerge(t.rhs, t.lhs), ctx, cache, debug)
-            | _hnf(CommMerge(t.lhs, t.rhs), ctx, cache, debug)
+            _hnf(engine, LeftMerge(t.lhs, t.rhs))
+            | _hnf(engine, LeftMerge(t.rhs, t.lhs))
+            | _hnf(engine, CommMerge(t.lhs, t.rhs))
         )
     elif isinstance(t, LeftMerge):
         out = frozenset(
-            (a, t.rhs if k is None else Par(k, t.rhs))
-            for a, k in _hnf(t.lhs, ctx, cache, debug)
+            (a, t.rhs if k is None else Par(k, t.rhs)) for a, k in _hnf(engine, t.lhs)
         )
     elif isinstance(t, CommMerge):
         acc: set = set()
-        left = _hnf(t.lhs, ctx, cache, debug)
-        right = _hnf(t.rhs, ctx, cache, debug)
+        left = _hnf(engine, t.lhs)
+        right = _hnf(engine, t.rhs)
         for a1, k1 in left:
             for a2, k2 in right:
-                acc |= _comm_summand(a1, k1, a2, k2, ctx, cache, debug)
+                acc |= _comm_summand(engine, a1, k1, a2, k2)
         out = frozenset(acc)
     elif isinstance(t, Encap):
         out = frozenset(
             (a, k if k is None else Encap(t.hide, k))
-            for a, k in _hnf(t.body, ctx, cache, debug)
+            for a, k in _hnf(engine, t.body)
             if a.name not in t.hide
         )
     elif isinstance(t, Guard):
         cond = eval_quantity(t.cond, {}, ctx.meadow)
-        out = _hnf(t.body, ctx, cache, debug) if cond.is_zero else frozenset()
+        out = _hnf(engine, t.body) if cond.is_zero else frozenset()
     elif isinstance(t, ProcVar):
         raise OpenTerm(f"free process variable: {t.name}")
     else:
@@ -263,49 +265,67 @@ def _hnf(
     return out
 
 
-def head_normal_form(
-    t: ProcessTerm, ctx: SpecContext, debug_guard_chain: bool = False
-) -> FrozenSet[HeadSummand]:
-    """The set of (action, residual) pairs whose sum equals t.
+class Engine:
+    """The state of one query: head normal forms, normal forms and the
+    hash-consing table of :class:`Summand` and :class:`BasicTerm` nodes.
 
-    A residual of None stands for successful termination.
+    Every node an engine builds is interned, so within one engine equal
+    normal forms are the same object and equality is an identity test.
+    Create one engine per query and let it go with the query: its tables
+    hold every node it built.
     """
-    t = inline_definitions(t, ctx, strict=False)
-    _check_closed_ground(t)
-    return _hnf(t, ctx, {}, debug_guard_chain)
 
+    def __init__(self, ctx: SpecContext, debug_guard_chain: bool = False):
+        self.ctx = ctx
+        self.debug_guard_chain = debug_guard_chain
+        self.hnf_cache: dict = {}
+        self._nf: dict = {}
+        self._nodes: dict = {}
 
-def _normalize(
-    t: ProcessTerm, ctx: SpecContext, hnf_cache: dict, norm_cache: dict, debug: bool
-) -> BasicTerm:
-    hit = norm_cache.get(t)
-    if hit is not None:
-        return hit
-    summands = []
-    for a, k in _hnf(t, ctx, hnf_cache, debug):
-        cont = None if k is None else _normalize(k, ctx, hnf_cache, norm_cache, debug)
-        summands.append(Summand(a, cont))
-    out = BasicTerm.of(summands)
-    norm_cache[t] = out
-    return out
+    def _intern(self, node):
+        return self._nodes.setdefault(node, node)
+
+    def normalize(self, t: ProcessTerm) -> BasicTerm:
+        """The canonical basic term of a closed, ground term."""
+        t = inline_definitions(t, self.ctx, strict=False)
+        _check_closed_ground(t)
+        return self._normalize(t)
+
+    def _normalize(self, t: ProcessTerm) -> BasicTerm:
+        hit = self._nf.get(t)
+        if hit is not None:
+            return hit
+        summands = []
+        for a, k in _hnf(self, t):
+            cont = None if k is None else self._normalize(k)
+            summands.append(self._intern(Summand(a, cont)))
+        out = self._intern(BasicTerm.of(summands))
+        self._nf[t] = out
+        return out
 
 
 def normalize(
     t: ProcessTerm, ctx: SpecContext, debug_guard_chain: bool = False
 ) -> BasicTerm:
     """Rewrite a closed, ground term to its canonical basic term."""
-    t = inline_definitions(t, ctx, strict=False)
-    _check_closed_ground(t)
-    return _normalize(t, ctx, {}, {}, debug_guard_chain)
+    return Engine(ctx, debug_guard_chain).normalize(t)
+
+
+def normal_forms(
+    terms: Sequence[ProcessTerm], ctx: SpecContext
+) -> Tuple[BasicTerm, ...]:
+    """The canonical basic terms of several terms, built in one engine, so
+    that terms with equal normal forms get the same object."""
+    engine = Engine(ctx)
+    return tuple(engine.normalize(t) for t in terms)
 
 
 def equal_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
     """Decide equality of two closed ground terms via canonical forms."""
-    return normalize(t1, ctx) == normalize(t2, ctx)
+    nf1, nf2 = normal_forms((t1, t2), ctx)
+    return nf1 is nf2
 
 
 def is_atomic(t: ProcessTerm, ctx: SpecContext) -> bool:
-    """Least atomic-action predicate: the normal form is a single summand
-    that terminates immediately."""
-    nf = normalize(t, ctx)
-    return len(nf.summands) == 1 and nf.summands[0].continuation is None
+    """Least atomic-action predicate on the normal form of t."""
+    return normalize(t, ctx).is_atomic

@@ -8,14 +8,18 @@ from meadowacp import (
     ACP_AXIOM_IDS,
     DERIVED_AXIOM_IDS,
     ENRICHED_AXIOM_IDS,
+    Action,
+    Alt,
     CommSpec,
     MeadowKind,
+    Seq,
     SpecContext,
     check_acp_axioms,
     check_derived,
     check_enriched_axioms,
     default_context,
 )
+from meadowacp.axioms import AxiomSchema, _run_schema
 
 
 class TestCoverageManifest:
@@ -77,3 +81,30 @@ class TestReportShape:
             assert r["status"] in ("pass", "fail")
         # meadow-only fields stay absent from process suites
         assert "separation" not in d
+
+
+class TestFailureReport:
+    a, b = Action("a"), Action("b")
+
+    def _fixed(self, i, rng, gen, ctx):
+        return {"i": i}
+
+    def test_failing_equation_reports_instance_and_normal_forms(self, ctx):
+        schema = AxiomSchema("x.01", "a . b = b . a", "eq", [],
+                             lambda s: (Seq(self.a, self.b), Seq(self.b, self.a)),
+                             sample=self._fixed)
+        result = _run_schema(schema, ctx, samples=5, seed=0)
+        assert result.status == "fail"
+        assert result.checked == 1
+        assert result.counterexample == {
+            "instance": "a . b = b . a",
+            "lhs_normal_form": "a . b",
+            "rhs_normal_form": "b . a",
+        }
+
+    def test_failing_isact_reports_instance(self, ctx):
+        schema = AxiomSchema("x.02", "isact(a + b)", "isact", [],
+                             lambda s: (Alt(self.a, self.b), True), sample=self._fixed)
+        result = _run_schema(schema, ctx, samples=5, seed=0)
+        assert result.status == "fail"
+        assert result.counterexample == {"instance": "a + b"}

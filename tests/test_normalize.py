@@ -1,6 +1,7 @@
 """Tests for canonical normal forms and the equational theory."""
 
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from meadowacp import (
     DataAction,
     Deadlock,
     Encap,
+    Engine,
     Guard,
     LeftMerge,
     OpenTerm,
@@ -25,6 +27,7 @@ from meadowacp import (
     embed,
     equal_terms,
     is_atomic,
+    normal_forms,
     normalize,
 )
 
@@ -162,3 +165,57 @@ class TestGuardAlgebra:
             assert equal_terms(
                 Guard(q, Alt(a, b)), Alt(Guard(q, a), Guard(q, b)), ctx
             )
+
+
+def _reachable_nodes(nf):
+    """Every distinct BasicTerm and Summand object reachable from nf."""
+    seen = {}
+    stack = [nf]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen[id(node)] = node
+        for s in node.summands:
+            if id(s) not in seen:
+                seen[id(s)] = s
+                if s.continuation is not None:
+                    stack.append(s.continuation)
+    return list(seen.values())
+
+
+class TestHashConsing:
+    def test_reachable_nodes_are_pairwise_unequal(self, ctx):
+        # (a + b) . c || a . (b + c)
+        t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
+        nodes = _reachable_nodes(normalize(t, ctx))
+        assert len(nodes) == len(set(nodes)) == 24
+
+    def test_equal_terms_gets_one_object_from_one_engine(self, ctx, monkeypatch):
+        calls = []
+        original = Engine.normalize
+
+        def spy(engine, t):
+            nf = original(engine, t)
+            calls.append((engine, nf))
+            return nf
+
+        monkeypatch.setattr(Engine, "normalize", spy)
+        assert equal_terms(Seq(Alt(a, b), c), Alt(Seq(b, c), Seq(a, c)), ctx)
+        (engine1, nf1), (engine2, nf2) = calls
+        assert engine1 is engine2
+        assert nf1 is nf2
+
+    def test_equality_across_engines_is_by_value(self, ctx):
+        t = Par(Alt(a, b), c)
+        nf1, nf2 = normalize(t, ctx), normalize(t, ctx)
+        assert nf1 is not nf2
+        assert nf1 == nf2 and hash(nf1) == hash(nf2)
+
+    def test_no_table_outlives_its_query(self, ctx):
+        t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
+        nf = normalize(t, ctx)
+        pair = normal_forms((t, Alt(t, t)), ctx)
+        refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(pair[0].summands[0])]
+        del nf, pair
+        assert all(ref() is None for ref in refs)
