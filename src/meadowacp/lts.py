@@ -19,16 +19,14 @@ from .terms import ActionLiteral, ProcessTerm, SpecContext, inline_definitions
 @dataclass
 class LTS:
     """States are indexed 0..n-1; state 0 is initial.  ``done`` is the index
-    of the distinguished successful-termination state, if reachable."""
+    of the distinguished successful-termination state, if reachable.
+    ``terms[s]`` is the process term of state s (None for ``done``)."""
 
     num_states: int
     initial: int
     transitions: Set[Tuple[int, ActionLiteral, int]]
     done: Optional[int] = None
-    labels: List[str] = field(default_factory=list)
-
-    def successors(self, state: int):
-        return [(a, q) for (p, a, q) in self.transitions if p == state]
+    terms: List[Optional[ProcessTerm]] = field(default_factory=list)
 
 
 def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
@@ -40,7 +38,7 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     # normal forms it checks
     engine = Engine(ctx)
     index: Dict[ProcessTerm, int] = {t: 0}
-    labels = [_short_label(t)]
+    terms: List[Optional[ProcessTerm]] = [t]
     transitions: Set[Tuple[int, ActionLiteral, int]] = set()
     done: Optional[int] = None
     work = [t]
@@ -50,23 +48,23 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
         for action, residual in _hnf(engine, term):
             if residual is None:
                 if done is None:
-                    done = len(labels)
-                    labels.append("done")
+                    done = len(terms)
+                    terms.append(None)
                 dst = done
             elif residual in index:
                 dst = index[residual]
             else:
-                dst = len(labels)
+                dst = len(terms)
                 index[residual] = dst
-                labels.append(_short_label(residual))
+                terms.append(residual)
                 work.append(residual)
             transitions.add((src, action, dst))
     return LTS(
-        num_states=len(labels),
+        num_states=len(terms),
         initial=0,
         transitions=transitions,
         done=done,
-        labels=labels,
+        terms=terms,
     )
 
 
@@ -120,7 +118,12 @@ def to_dot(lts: LTS, name: str = "lts") -> str:
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
     for s in range(lts.num_states):
         shape = "doublecircle" if s == lts.done else "circle"
-        label = lts.labels[s] if s < len(lts.labels) else str(s)
+        if s >= len(lts.terms):
+            label = str(s)
+        elif lts.terms[s] is None:
+            label = "done"
+        else:
+            label = _short_label(lts.terms[s])
         label = label.replace('"', '\\"')
         lines.append(f'  n{s} [shape={shape}, label="{label}"];')
     for p, a, q in sorted(

@@ -212,6 +212,26 @@ def _guard_chain_route(
     return _hnf(engine, term)
 
 
+def _left_merge(
+    head: FrozenSet[HeadSummand], rhs: ProcessTerm
+) -> FrozenSet[HeadSummand]:
+    """The hnf of x |_ rhs, given the hnf of x."""
+    return frozenset((a, rhs if k is None else Par(k, rhs)) for a, k in head)
+
+
+def _comm_merge(
+    engine: "Engine",
+    left: FrozenSet[HeadSummand],
+    right: FrozenSet[HeadSummand],
+) -> FrozenSet[HeadSummand]:
+    """The hnf of x | y, given the hnfs of x and y."""
+    acc: set = set()
+    for a1, k1 in left:
+        for a2, k2 in right:
+            acc |= _comm_summand(engine, a1, k1, a2, k2)
+    return frozenset(acc)
+
+
 def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
     cache = engine.hnf_cache
     hit = cache.get(t)
@@ -230,23 +250,18 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
     elif isinstance(t, Seq):
         out = frozenset((a, _seq_residual(k, t.rhs)) for a, k in _hnf(engine, t.lhs))
     elif isinstance(t, Par):
-        out = (
-            _hnf(engine, LeftMerge(t.lhs, t.rhs))
-            | _hnf(engine, LeftMerge(t.rhs, t.lhs))
-            | _hnf(engine, CommMerge(t.lhs, t.rhs))
-        )
-    elif isinstance(t, LeftMerge):
-        out = frozenset(
-            (a, t.rhs if k is None else Par(k, t.rhs)) for a, k in _hnf(engine, t.lhs)
-        )
-    elif isinstance(t, CommMerge):
-        acc: set = set()
+        # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
         left = _hnf(engine, t.lhs)
         right = _hnf(engine, t.rhs)
-        for a1, k1 in left:
-            for a2, k2 in right:
-                acc |= _comm_summand(engine, a1, k1, a2, k2)
-        out = frozenset(acc)
+        out = (
+            _left_merge(left, t.rhs)
+            | _left_merge(right, t.lhs)
+            | _comm_merge(engine, left, right)
+        )
+    elif isinstance(t, LeftMerge):
+        out = _left_merge(_hnf(engine, t.lhs), t.rhs)
+    elif isinstance(t, CommMerge):
+        out = _comm_merge(engine, _hnf(engine, t.lhs), _hnf(engine, t.rhs))
     elif isinstance(t, Encap):
         out = frozenset(
             (a, k if k is None else Encap(t.hide, k))

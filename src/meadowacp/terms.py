@@ -9,7 +9,7 @@ first step, mediated by the communication function gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .meadow import (
@@ -243,13 +243,21 @@ class SpecContext:
                 )
 
 
+_BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
+
+
 def iter_subterms(t: ProcessTerm):
-    yield t
-    if isinstance(t, (Alt, Seq, Par, LeftMerge, CommMerge)):
-        yield from iter_subterms(t.lhs)
-        yield from iter_subterms(t.rhs)
-    elif isinstance(t, (Encap, Guard)):
-        yield from iter_subterms(t.body)
+    """Every node of t, in preorder; an explicit stack, so deep terms do not
+    exhaust the interpreter's."""
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, _BINARY):
+            stack.append(node.rhs)
+            stack.append(node.lhs)
+        elif isinstance(node, (Encap, Guard)):
+            stack.append(node.body)
 
 
 def free_process_vars(t: ProcessTerm) -> FrozenSet[str]:
@@ -272,22 +280,15 @@ def free_quantity_vars(t: ProcessTerm) -> FrozenSet[str]:
 
 
 def _map_children(t: ProcessTerm, f) -> ProcessTerm:
+    """t with f applied to its children; t itself if f changes none."""
     if isinstance(t, (Deadlock, Action, DataAction, ProcVar)):
         return t
-    if isinstance(t, Alt):
-        return Alt(f(t.lhs), f(t.rhs))
-    if isinstance(t, Seq):
-        return Seq(f(t.lhs), f(t.rhs))
-    if isinstance(t, Par):
-        return Par(f(t.lhs), f(t.rhs))
-    if isinstance(t, LeftMerge):
-        return LeftMerge(f(t.lhs), f(t.rhs))
-    if isinstance(t, CommMerge):
-        return CommMerge(f(t.lhs), f(t.rhs))
-    if isinstance(t, Encap):
-        return Encap(t.hide, f(t.body))
-    if isinstance(t, Guard):
-        return Guard(t.cond, f(t.body))
+    if isinstance(t, _BINARY):
+        lhs, rhs = f(t.lhs), f(t.rhs)
+        return t if lhs is t.lhs and rhs is t.rhs else type(t)(lhs, rhs)
+    if isinstance(t, (Encap, Guard)):
+        body = f(t.body)
+        return t if body is t.body else replace(t, body=body)
     raise TypeError(f"not a process term: {t!r}")
 
 
@@ -298,8 +299,11 @@ def inline_definitions(
 
     With strict=True an undefined name raises UndefinedName; otherwise
     unknown ProcVar nodes are left in place (they are genuinely free
-    process variables, e.g. in axiom schemas).
+    process variables, e.g. in axiom schemas).  Returns t itself when there
+    is nothing to inline.
     """
+    if not (ctx.definitions or strict):
+        return t
     if isinstance(t, ProcVar):
         body = ctx.definitions.get(t.name)
         if body is None:

@@ -3,7 +3,9 @@
 import random
 
 from meadowacp import (
+    LTS,
     Action,
+    ActionLiteral,
     Alt,
     Deadlock,
     Par,
@@ -12,8 +14,10 @@ from meadowacp import (
     bisimilar,
     build_lts,
     default_context,
+    parse_term,
     to_dot,
 )
+from meadowacp import speclang
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
@@ -38,7 +42,7 @@ class TestBuildLts:
         assert lts.num_states == 2  # initial + done
         targets = {q for (_, _, q) in lts.transitions}
         assert targets == {lts.done}
-        assert not lts.successors(lts.done)
+        assert all(p != lts.done for p, _, _ in lts.transitions)
 
     def test_merge_of_two_actions(self, ctx):
         # a || b: initial state, residuals a and b, and Done; the
@@ -99,3 +103,37 @@ class TestDot:
     def test_dot_is_deterministic(self, ctx):
         t = Par(a, b)
         assert to_dot(build_lts(t, ctx)) == to_dot(build_lts(t, ctx))
+
+    def test_dot_of_a_single_path_term(self, ctx):
+        t = parse_term("a . (b + c(1)) . [0] -> c", ctx)
+        assert to_dot(build_lts(t, ctx)) == "\n".join([
+            "digraph lts {",
+            "  rankdir=LR;",
+            '  n0 [shape=circle, label="a . (b + c(1)) . [0] -> c"];',
+            '  n1 [shape=circle, label="(b + c(1)) . [0] -> c"];',
+            '  n2 [shape=circle, label="[0] -> c"];',
+            '  n3 [shape=doublecircle, label="done"];',
+            '  n0 -> n1 [label="a"];',
+            '  n1 -> n2 [label="b"];',
+            '  n1 -> n2 [label="c(1)"];',
+            '  n2 -> n3 [label="c"];',
+            "}",
+        ])
+
+    def test_dot_of_a_hand_built_lts_numbers_its_states(self):
+        lts = LTS(num_states=2, initial=0, transitions={(0, ActionLiteral("a"), 1)}, done=1)
+        assert '  n0 [shape=circle, label="0"];' in to_dot(lts)
+        assert '  n1 [shape=doublecircle, label="1"];' in to_dot(lts)
+
+    def test_labels_are_rendered_only_by_to_dot(self, ctx, monkeypatch):
+        t = parse_term("a . b || b . c", ctx)
+        calls = []
+
+        def refuse(term):
+            calls.append(term)
+            raise AssertionError("pretty_term called")
+
+        monkeypatch.setattr(speclang, "pretty_term", refuse)
+        lts = build_lts(t, ctx)
+        assert bisimilar(lts, build_lts(t, ctx))
+        assert calls == []

@@ -29,7 +29,9 @@ from meadowacp import (
     is_atomic,
     normal_forms,
     normalize,
+    parse_term,
 )
+from meadowacp.normalize import _hnf
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
@@ -219,3 +221,22 @@ class TestHashConsing:
         refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(pair[0].summands[0])]
         del nf, pair
         assert all(ref() is None for ref in refs)
+
+
+class TestMergeRule:
+    def test_merge_hnf_is_cm1(self, ctx):
+        # x || y = x |_ y + y |_ x + x | y, at the level of head normal forms
+        gen = TermGen(ctx, random.Random(5), max_depth=3)
+        for _ in range(200):
+            x, y = gen.term(), gen.term()
+            expanded = Engine(ctx)
+            assert _hnf(Engine(ctx), Par(x, y)) == (
+                _hnf(expanded, LeftMerge(x, y))
+                | _hnf(expanded, LeftMerge(y, x))
+                | _hnf(expanded, CommMerge(x, y))
+            )
+
+    def test_merge_builds_no_merge_operator_terms(self, ctx):
+        engine = Engine(ctx)
+        engine.normalize(parse_term("a . b || b . c || c . a", ctx))
+        assert not any(isinstance(k, (LeftMerge, CommMerge)) for k in engine.hnf_cache)

@@ -25,6 +25,15 @@ from meadowacp import (
     substitute,
     validate_comm_spec,
 )
+from meadowacp.terms import iter_subterms
+
+
+def _chain(n, tail):
+    """a . a . ... . a . tail with n actions, built without recursion."""
+    t = tail
+    for _ in range(n):
+        t = Seq(Action("a"), t)
+    return t
 
 
 class TestCommSpec:
@@ -71,6 +80,20 @@ class TestFreeVariables:
         assert free_quantity_vars(t) == frozenset({"u", "v"})
         assert free_quantity_vars(Action("a")) == frozenset()
 
+    def test_deep_terms_do_not_exhaust_the_stack(self):
+        t = _chain(10_000, Par(ProcVar("P"), Guard(QVar("u"), DataAction("a", (QVar("v"),)))))
+        assert free_process_vars(t) == frozenset({"P"})
+        assert free_quantity_vars(t) == frozenset({"u", "v"})
+
+    def test_subterms_in_preorder(self):
+        a, b, c, p = Action("a"), Action("b"), Action("c"), ProcVar("P")
+        enc = Encap(frozenset({"a"}), b)
+        par = Par(c, p)
+        guard = Guard(QZero(), par)
+        seq = Seq(a, enc)
+        t = Alt(seq, guard)
+        assert list(iter_subterms(t)) == [t, seq, a, enc, b, guard, par, c, p]
+
 
 class TestDefinitions:
     def _ctx(self):
@@ -85,6 +108,9 @@ class TestDefinitions:
     def test_inline_chain(self):
         t = inline_definitions(ProcVar("P"), self._ctx())
         assert t == Seq(Action("a"), Alt(Action("b"), Deadlock()))
+        hide = frozenset({"a"})
+        t = inline_definitions(Encap(hide, Guard(QZero(), ProcVar("Q"))), self._ctx())
+        assert t == Encap(hide, Guard(QZero(), Alt(Action("b"), Deadlock())))
 
     def test_inline_strict_raises_on_undefined(self):
         with pytest.raises(UndefinedName):
@@ -93,6 +119,20 @@ class TestDefinitions:
     def test_inline_non_strict_keeps_unknown(self):
         t = inline_definitions(Alt(ProcVar("R"), ProcVar("Q")), self._ctx(), strict=False)
         assert t == Alt(ProcVar("R"), Alt(Action("b"), Deadlock()))
+
+    def test_inline_without_definitions_returns_the_term(self):
+        ctx = SpecContext(alphabet=frozenset({"a"}))
+        t = Alt(Seq(Action("a"), ProcVar("R")), Deadlock())
+        assert inline_definitions(t, ctx, strict=False) is t
+
+    def test_inline_without_references_returns_the_term(self):
+        t = Par(Seq(Action("a"), Action("b")), Guard(QZero(), Encap(frozenset({"a"}), Deadlock())))
+        assert inline_definitions(t, self._ctx()) is t
+
+    def test_inline_strict_raises_without_definitions(self):
+        ctx = SpecContext(alphabet=frozenset({"a"}))
+        with pytest.raises(UndefinedName):
+            inline_definitions(Seq(Action("a"), ProcVar("R")), ctx, strict=True)
 
     def test_substitute(self):
         t = Alt(ProcVar("x"), Guard(QVar("u"), DataAction("a", (QVar("u"),))))
@@ -119,6 +159,12 @@ class TestEncapValidation:
         bad = Alt(Action("a"), Encap(frozenset({"z"}), Action("a")))
         with pytest.raises(InvalidEncapSet):
             ctx.validate_term(bad)
+
+    def test_validate_term_walks_deep_terms(self):
+        ctx = self._ctx()
+        ctx.validate_term(_chain(10_000, Encap(frozenset({"a"}), Action("b"))))
+        with pytest.raises(InvalidEncapSet):
+            ctx.validate_term(_chain(10_000, Encap(frozenset({"z"}), Action("b"))))
 
 
 class TestContextDefaults:
