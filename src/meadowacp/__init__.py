@@ -45,7 +45,6 @@ from .terms import (
     Deadlock,
     Encap,
     Guard,
-    InvalidEncapSet,
     LeftMerge,
     OpenTerm,
     Par,
@@ -58,7 +57,6 @@ from .terms import (
     free_process_vars,
     free_quantity_vars,
     inline_definitions,
-    substitute,
     validate_comm_spec,
 )
 from .normalize import (

@@ -29,10 +29,9 @@ from .meadow import (
     QZero,
     QuantityTerm,
     enumerate_carrier,
-    quantity_literal,
     random_rational,
 )
-from .normalize import BasicTerm, normal_forms, normalize
+from .normalize import BasicTerm, guard_chain, normal_forms, normalize
 from .report import AxiomReport, AxiomResult
 from .speclang import pretty_term
 from .terms import (
@@ -50,6 +49,7 @@ from .terms import (
     ProcessTerm,
     Seq,
     SpecContext,
+    data_action,
     validate_comm_spec,
 )
 
@@ -66,16 +66,6 @@ def default_context(meadow: Optional[MeadowKind] = None) -> SpecContext:
         comm=CommSpec.symmetric({("a", "b"): "c"}),
         meadow=meadow or MeadowKind.prime_field(3),
     )
-
-
-def lit_term(lit: ActionLiteral) -> ProcessTerm:
-    if not lit.args:
-        return Action(lit.name)
-    return DataAction(lit.name, tuple(quantity_literal(v.as_fraction()) for v in lit.args))
-
-
-def qc(v: MeadowValue) -> QuantityTerm:
-    return quantity_literal(v.as_fraction())
 
 
 def qdiv(p: QuantityTerm, q: QuantityTerm) -> QuantityTerm:
@@ -125,7 +115,7 @@ class TermGen:
         return random_rational(self.rng)
 
     def quantity(self) -> QuantityTerm:
-        return qc(self.quantity_value())
+        return self.quantity_value().literal()
 
     def atom(self) -> ProcessTerm:
         r = self.rng.random()
@@ -215,15 +205,6 @@ def _std_sample(specs: Sequence[VarSpec], i: int, rng, gen: TermGen, ctx: SpecCo
     return s
 
 
-def _guard_chain(
-    name: str, us: Sequence[MeadowValue], vs: Sequence[MeadowValue]
-) -> ProcessTerm:
-    term: ProcessTerm = DataAction(name, tuple(qc(u) for u in us))
-    for u, v in reversed(list(zip(us, vs))):
-        term = Guard(qsub(qc(u), qc(v)), term)
-    return term
-
-
 def _sample_data_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
     """Pick a communicating name pair, an arity in {1, 2} and data tuples."""
     pairs = sorted(set(ctx.comm.mapping.items()))
@@ -266,10 +247,6 @@ def _sample_mixed_arity(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
         "us": tuple(gen.quantity_value() for _ in range(n)),
         "vs": tuple(gen.quantity_value() for _ in range(m)),
     }
-
-
-def _data(e: str, vals: Sequence[MeadowValue]) -> ProcessTerm:
-    return DataAction(e, tuple(qc(v) for v in vals))
 
 
 ACP_AXIOMS: List[AxiomSchema] = [
@@ -316,12 +293,12 @@ ACP_AXIOMS: List[AxiomSchema] = [
                                    LeftMerge(s["y"], s["x"])),
                                CommMerge(s["x"], s["y"])))),
     AxiomSchema("t2.14", "a |_ x = a . x", "eq", [("a", "lit"), ("x", "p")],
-                lambda s: (LeftMerge(lit_term(s["a"]), s["x"]),
-                           Seq(lit_term(s["a"]), s["x"]))),
+                lambda s: (LeftMerge(s["a"].term(), s["x"]),
+                           Seq(s["a"].term(), s["x"]))),
     AxiomSchema("t2.15", "a . x |_ y = a . (x || y)", "eq",
                 [("a", "lit"), ("x", "p"), ("y", "p")],
-                lambda s: (LeftMerge(Seq(lit_term(s["a"]), s["x"]), s["y"]),
-                           Seq(lit_term(s["a"]), Par(s["x"], s["y"])))),
+                lambda s: (LeftMerge(Seq(s["a"].term(), s["x"]), s["y"]),
+                           Seq(s["a"].term(), Par(s["x"], s["y"])))),
     AxiomSchema("t2.16", "(x + y) |_ z = x |_ z + y |_ z", "eq",
                 [("x", "p"), ("y", "p"), ("z", "p")],
                 lambda s: (LeftMerge(Alt(s["x"], s["y"]), s["z"]),
@@ -329,13 +306,13 @@ ACP_AXIOMS: List[AxiomSchema] = [
                                LeftMerge(s["y"], s["z"])))),
     AxiomSchema("t2.17", "a | b . x = (a | b) . x", "eq",
                 [("a", "lit"), ("b", "lit"), ("x", "p")],
-                lambda s: (CommMerge(lit_term(s["a"]), Seq(lit_term(s["b"]), s["x"])),
-                           Seq(CommMerge(lit_term(s["a"]), lit_term(s["b"])), s["x"]))),
+                lambda s: (CommMerge(s["a"].term(), Seq(s["b"].term(), s["x"])),
+                           Seq(CommMerge(s["a"].term(), s["b"].term()), s["x"]))),
     AxiomSchema("t2.18", "a . x | b . y = (a | b) . (x || y)", "eq",
                 [("a", "lit"), ("b", "lit"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(Seq(lit_term(s["a"]), s["x"]),
-                                     Seq(lit_term(s["b"]), s["y"])),
-                           Seq(CommMerge(lit_term(s["a"]), lit_term(s["b"])),
+                lambda s: (CommMerge(Seq(s["a"].term(), s["x"]),
+                                     Seq(s["b"].term(), s["y"])),
+                           Seq(CommMerge(s["a"].term(), s["b"].term()),
                                Par(s["x"], s["y"])))),
     AxiomSchema("t2.19", "(x + y) | z = x | z + y | z", "eq",
                 [("x", "p"), ("y", "p"), ("z", "p")],
@@ -354,12 +331,8 @@ ACP_AXIOMS: List[AxiomSchema] = [
                 lambda s: (Action(s["e"]), True)),
     AxiomSchema("t2.24", "isact(x) & isact(y) => isact(x | y)", "isact",
                 [("a", "lit"), ("b", "lit")],
-                lambda s: (CommMerge(lit_term(s["a"]), lit_term(s["b"])), None)),
+                lambda s: (CommMerge(s["a"].term(), s["b"].term()), None)),
 ]
-
-
-def _t3_guard(u: MeadowValue) -> QuantityTerm:
-    return qc(u)
 
 
 ENRICHED_AXIOMS: List[AxiomSchema] = [
@@ -369,76 +342,83 @@ ENRICHED_AXIOMS: List[AxiomSchema] = [
                 lambda s: (Guard(QOne(), s["x"]), Deadlock())),
     AxiomSchema("t3.03", "[u] -> x = [u/u] -> x", "eq",
                 [("u", "q"), ("x", "p")],
-                lambda s: (Guard(qc(s["u"]), s["x"]),
-                           Guard(qdiv(qc(s["u"]), qc(s["u"])), s["x"]))),
+                lambda s: (Guard(s["u"].literal(), s["x"]),
+                           Guard(qdiv(s["u"].literal(), s["u"].literal()), s["x"]))),
     AxiomSchema("t3.04", "[u] -> ([v] -> x) = [1 - (1 - u/u)*(1 - v/v)] -> x", "eq",
                 [("u", "q"), ("v", "q"), ("x", "p")],
-                lambda s: (Guard(qc(s["u"]), Guard(qc(s["v"]), s["x"])),
+                lambda s: (Guard(s["u"].literal(), Guard(s["v"].literal(), s["x"])),
                            Guard(qsub(QOne(),
-                                      QMul(qsub(QOne(), qdiv(qc(s["u"]), qc(s["u"]))),
-                                           qsub(QOne(), qdiv(qc(s["v"]), qc(s["v"]))))),
+                                      QMul(qsub(QOne(),
+                                                qdiv(s["u"].literal(), s["u"].literal())),
+                                           qsub(QOne(),
+                                                qdiv(s["v"].literal(), s["v"].literal())))),
                                  s["x"]))),
     AxiomSchema("t3.05", "[u] -> x + [v] -> x = [u/u * v/v] -> x", "eq",
                 [("u", "q"), ("v", "q"), ("x", "p")],
-                lambda s: (Alt(Guard(qc(s["u"]), s["x"]), Guard(qc(s["v"]), s["x"])),
-                           Guard(QMul(qdiv(qc(s["u"]), qc(s["u"])),
-                                      qdiv(qc(s["v"]), qc(s["v"]))), s["x"]))),
+                lambda s: (Alt(Guard(s["u"].literal(), s["x"]),
+                               Guard(s["v"].literal(), s["x"])),
+                           Guard(QMul(qdiv(s["u"].literal(), s["u"].literal()),
+                                      qdiv(s["v"].literal(), s["v"].literal())), s["x"]))),
     AxiomSchema("t3.06", "[u] -> delta = delta", "eq", [("u", "q")],
-                lambda s: (Guard(qc(s["u"]), Deadlock()), Deadlock())),
+                lambda s: (Guard(s["u"].literal(), Deadlock()), Deadlock())),
     AxiomSchema("t3.07", "[u] -> (x + y) = [u] -> x + [u] -> y", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (Guard(qc(s["u"]), Alt(s["x"], s["y"])),
-                           Alt(Guard(qc(s["u"]), s["x"]), Guard(qc(s["u"]), s["y"])))),
+                lambda s: (Guard(s["u"].literal(), Alt(s["x"], s["y"])),
+                           Alt(Guard(s["u"].literal(), s["x"]),
+                               Guard(s["u"].literal(), s["y"])))),
     AxiomSchema("t3.08", "[u] -> x . y = ([u] -> x) . y", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (Guard(qc(s["u"]), Seq(s["x"], s["y"])),
-                           Seq(Guard(qc(s["u"]), s["x"]), s["y"]))),
+                lambda s: (Guard(s["u"].literal(), Seq(s["x"], s["y"])),
+                           Seq(Guard(s["u"].literal(), s["x"]), s["y"]))),
     AxiomSchema("t3.09", "([u] -> x) |_ y = [u] -> (x |_ y)", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (LeftMerge(Guard(qc(s["u"]), s["x"]), s["y"]),
-                           Guard(qc(s["u"]), LeftMerge(s["x"], s["y"])))),
+                lambda s: (LeftMerge(Guard(s["u"].literal(), s["x"]), s["y"]),
+                           Guard(s["u"].literal(), LeftMerge(s["x"], s["y"])))),
     AxiomSchema("t3.10", "([u] -> x) | y = [u] -> (x | y)", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(Guard(qc(s["u"]), s["x"]), s["y"]),
-                           Guard(qc(s["u"]), CommMerge(s["x"], s["y"])))),
+                lambda s: (CommMerge(Guard(s["u"].literal(), s["x"]), s["y"]),
+                           Guard(s["u"].literal(), CommMerge(s["x"], s["y"])))),
     AxiomSchema("t3.11", "encap(H, [u] -> x) = [u] -> encap(H, x)", "eq",
                 [("u", "q"), ("x", "p"), ("H", "h")],
-                lambda s: (Encap(s["H"], Guard(qc(s["u"]), s["x"])),
-                           Guard(qc(s["u"]), Encap(s["H"], s["x"])))),
+                lambda s: (Encap(s["H"], Guard(s["u"].literal(), s["x"])),
+                           Guard(s["u"].literal(), Encap(s["H"], s["x"])))),
     AxiomSchema("t3.12",
                 "e | e' = e'' => e(u1..un) | e'(v1..vn) = "
                 "(u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))",
                 "eq", [],
-                lambda s: (CommMerge(_data(s["e"], s["us"]), _data(s["e2"], s["vs"])),
-                           _guard_chain(s["e3"], s["us"], s["vs"])),
+                lambda s: (CommMerge(data_action(s["e"], s["us"]),
+                                     data_action(s["e2"], s["vs"])),
+                           guard_chain(s["e3"], s["us"], s["vs"])),
                 sample=_sample_data_comm),
     AxiomSchema("t3.13", "e | e' = delta => e(u1..un) | e'(v1..vn) = delta",
                 "eq", [],
-                lambda s: (CommMerge(_data(s["e"], s["us"]), _data(s["e2"], s["vs"])),
+                lambda s: (CommMerge(data_action(s["e"], s["us"]),
+                                     data_action(s["e2"], s["vs"])),
                            Deadlock()),
                 sample=_sample_dead_comm),
     AxiomSchema("t3.14", "e(u1..un) | e'(v1..vm) = delta  if n != m", "eq", [],
-                lambda s: (CommMerge(_data(s["e"], s["us"]), _data(s["e2"], s["vs"])),
+                lambda s: (CommMerge(data_action(s["e"], s["us"]),
+                                     data_action(s["e2"], s["vs"])),
                            Deadlock()),
                 sample=_sample_mixed_arity),
     AxiomSchema("t3.15", "encap(H, e(u1..un)) = e(u1..un)  if e notin H", "eq",
                 [("e", "const"), ("u", "q"), ("H", "h-e")],
-                lambda s: (Encap(s["H"], _data(s["e"], (s["u"],))),
-                           _data(s["e"], (s["u"],)))),
+                lambda s: (Encap(s["H"], data_action(s["e"], (s["u"],))),
+                           data_action(s["e"], (s["u"],)))),
     AxiomSchema("t3.16", "encap(H, e(u1..un)) = delta  if e in H", "eq",
                 [("e", "const"), ("u", "q"), ("H", "h+e")],
-                lambda s: (Encap(s["H"], _data(s["e"], (s["u"],))), Deadlock())),
+                lambda s: (Encap(s["H"], data_action(s["e"], (s["u"],))), Deadlock())),
     AxiomSchema("t3.17", "isact(e(u1..un))", "isact",
                 [("e", "const"), ("u", "q")],
-                lambda s: (_data(s["e"], (s["u"],)), True)),
+                lambda s: (data_action(s["e"], (s["u"],)), True)),
 ]
 
 
 DERIVED_AXIOMS: List[AxiomSchema] = [
     AxiomSchema("d.01", "a . x | b = (a | b) . x", "eq",
                 [("a", "lit"), ("b", "lit"), ("x", "p")],
-                lambda s: (CommMerge(Seq(lit_term(s["a"]), s["x"]), lit_term(s["b"])),
-                           Seq(CommMerge(lit_term(s["a"]), lit_term(s["b"])), s["x"]))),
+                lambda s: (CommMerge(Seq(s["a"].term(), s["x"]), s["b"].term()),
+                           Seq(CommMerge(s["a"].term(), s["b"].term()), s["x"]))),
     AxiomSchema("d.02", "x | (y + z) = x | y + x | z", "eq",
                 [("x", "p"), ("y", "p"), ("z", "p")],
                 lambda s: (CommMerge(s["x"], Alt(s["y"], s["z"])),
@@ -446,8 +426,8 @@ DERIVED_AXIOMS: List[AxiomSchema] = [
                                CommMerge(s["x"], s["z"])))),
     AxiomSchema("d.03", "x | ([u] -> y) = [u] -> (x | y)", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(s["x"], Guard(qc(s["u"]), s["y"])),
-                           Guard(qc(s["u"]), CommMerge(s["x"], s["y"])))),
+                lambda s: (CommMerge(s["x"], Guard(s["u"].literal(), s["y"])),
+                           Guard(s["u"].literal(), CommMerge(s["x"], s["y"])))),
 ]
 
 ACP_AXIOM_IDS = [a.id for a in ACP_AXIOMS]

@@ -30,17 +30,6 @@ def _load_spec(path: str) -> SpecContext:
         return parse_spec(fh.read(), filename=path)
 
 
-def _parse_meadow(name: str) -> MeadowKind:
-    name = name.lower()
-    if name == "q0":
-        return MeadowKind.rationals()
-    if name == "trivial":
-        return MeadowKind.trivial()
-    if name.startswith("f") and name[1:].isdigit():
-        return MeadowKind.prime_field(int(name[1:]))
-    raise ValueError(f"unknown meadow {name!r} (expected q0, fP or trivial)")
-
-
 def cmd_normalize(args) -> int:
     ctx = _load_spec(args.spec)
     term = parse_term(args.term, ctx)
@@ -80,9 +69,8 @@ def cmd_equiv(args) -> int:
             )
         )
     else:
-        print(verdict)
-        print(f"  {args.term1}  ~>  {nf1}")
-        print(f"  {args.term2}  ~>  {nf2}")
+        # rendered whole before printing, so a failed rendering prints no verdict
+        print(f"{verdict}\n  {args.term1}  ~>  {nf1}\n  {args.term2}  ~>  {nf2}")
     return 0 if by_nf else 1
 
 
@@ -139,7 +127,7 @@ def cmd_axioms(args) -> int:
         reports.append(check_enriched_axioms(ctx, args.samples, args.seed))
         reports.append(check_derived(ctx, args.samples, args.seed))
     else:
-        meadow = _parse_meadow(args.meadow)
+        meadow = MeadowKind.from_name(args.meadow)
         mode = "exhaustive" if meadow.is_finite else "random"
         reports.append(check_meadow_axioms(meadow, mode, args.samples, args.seed))
 
@@ -211,6 +199,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (OracleDisagreement, GuardChainMismatch) as exc:
         print(f"internal disagreement: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: term nested too deeply for the interpreter's stack", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,9 +5,10 @@ multiplicative inverse operation; the inverse of zero is zero.  Three
 concrete meadows are provided:
 
 * ``Q0``      -- the rational numbers with zero-totalized inverse,
-* ``F_p``     -- the prime field of p elements with inverse-of-zero = 0,
-* ``trivial`` -- the one-element meadow (0 = 1), useful as a witness that
-  the separation property 0 != 1 is independent of the defining equations.
+* ``F_p``     -- the prime field Z/pZ with inverse-of-zero = 0,
+* ``trivial`` -- the one-element meadow Z/1Z (0 = 1), useful as a witness
+  that the separation property 0 != 1 is independent of the defining
+  equations.  Its arithmetic is the residue arithmetic with modulus 1.
 
 Quantity terms are small syntax trees over {0, 1, +, *, -, inv} with
 variables; :func:`eval_quantity` interprets them in a concrete meadow.
@@ -87,36 +88,43 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-_Q0 = "q0"
-_FP = "fp"
-_TRIVIAL = "trivial"
-
-
 @cached_hash
 @dataclass(frozen=True)
 class MeadowKind:
-    """Identifies one of the concrete meadows."""
+    """Identifies one of the concrete meadows: the rationals when
+    ``modulus`` is None, else Z/pZ.  Modulus 1 is the trivial meadow."""
 
-    tag: str
     modulus: Optional[int] = None
 
     @staticmethod
     def rationals() -> "MeadowKind":
-        return MeadowKind(_Q0)
+        return MeadowKind()
 
     @staticmethod
     def prime_field(p: int) -> "MeadowKind":
         if not _is_prime(p):
             raise NonPrimeModulus(f"modulus {p} is not prime")
-        return MeadowKind(_FP, p)
+        return MeadowKind(p)
 
     @staticmethod
     def trivial() -> "MeadowKind":
-        return MeadowKind(_TRIVIAL)
+        return MeadowKind(1)
+
+    @staticmethod
+    def from_name(name: str) -> "MeadowKind":
+        """The meadow called ``q0``, ``trivial`` or ``fP``, in any case."""
+        name = name.lower()
+        if name == "q0":
+            return MeadowKind.rationals()
+        if name == "trivial":
+            return MeadowKind.trivial()
+        if name.startswith("f") and name[1:].isdigit():
+            return MeadowKind.prime_field(int(name[1:]))
+        raise MeadowError(f"unknown meadow {name!r} (expected q0, fP or trivial)")
 
     @property
     def is_finite(self) -> bool:
-        return self.tag != _Q0
+        return self.modulus is not None
 
     def zero(self) -> "MeadowValue":
         return self.from_int(0)
@@ -128,11 +136,9 @@ class MeadowKind:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q: Fraction) -> "MeadowValue":
-        if self.tag == _Q0:
-            return MeadowValue(self, q)
-        if self.tag == _TRIVIAL:
-            return MeadowValue(self, 0)
         p = self.modulus
+        if p is None:
+            return MeadowValue(self, q)
         num = q.numerator % p
         den = q.denominator % p
         # zero-totalized: a denominator that vanishes mod p has inverse 0
@@ -140,9 +146,9 @@ class MeadowKind:
         return MeadowValue(self, (num * inv_den) % p)
 
     def __str__(self) -> str:
-        if self.tag == _Q0:
+        if self.modulus is None:
             return "Q0"
-        if self.tag == _TRIVIAL:
+        if self.modulus == 1:
             return "trivial"
         return f"F{self.modulus}"
 
@@ -166,8 +172,9 @@ class MeadowValue:
     def sort_key(self):
         return self.value
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.value)
+    def literal(self) -> "QuantityTerm":
+        """The canonical quantity literal denoting this value."""
+        return quantity_literal(Fraction(self.value))
 
     def __str__(self) -> str:
         return str(self.value)
@@ -178,54 +185,41 @@ def _require_member(a: MeadowValue, m: MeadowKind) -> None:
         raise MixedMeadow(f"value from {a.meadow} used in {m}")
 
 
+def _residue(v: Union[Fraction, int], m: MeadowKind) -> MeadowValue:
+    """v as an element of m: unchanged in Q0, reduced mod p in Z/pZ."""
+    return MeadowValue(m, v if m.modulus is None else v % m.modulus)
+
+
 def meadow_add(a: MeadowValue, b: MeadowValue, m: MeadowKind) -> MeadowValue:
     _require_member(a, m)
     _require_member(b, m)
-    if m.tag == _FP:
-        return MeadowValue(m, (a.value + b.value) % m.modulus)
-    if m.tag == _TRIVIAL:
-        return MeadowValue(m, 0)
-    return MeadowValue(m, a.value + b.value)
+    return _residue(a.value + b.value, m)
 
 
 def meadow_mul(a: MeadowValue, b: MeadowValue, m: MeadowKind) -> MeadowValue:
     _require_member(a, m)
     _require_member(b, m)
-    if m.tag == _FP:
-        return MeadowValue(m, (a.value * b.value) % m.modulus)
-    if m.tag == _TRIVIAL:
-        return MeadowValue(m, 0)
-    return MeadowValue(m, a.value * b.value)
+    return _residue(a.value * b.value, m)
 
 
 def meadow_neg(a: MeadowValue, m: MeadowKind) -> MeadowValue:
     _require_member(a, m)
-    if m.tag == _FP:
-        return MeadowValue(m, (-a.value) % m.modulus)
-    if m.tag == _TRIVIAL:
-        return MeadowValue(m, 0)
-    return MeadowValue(m, -a.value)
+    return _residue(-a.value, m)
 
 
 def meadow_inv(a: MeadowValue, m: MeadowKind) -> MeadowValue:
     """Total multiplicative inverse; maps 0 to 0."""
     _require_member(a, m)
     if a.is_zero:
-        return MeadowValue(m, 0 if m.tag != _Q0 else Fraction(0))
-    if m.tag == _FP:
-        return MeadowValue(m, pow(a.value, m.modulus - 2, m.modulus))
-    if m.tag == _TRIVIAL:
-        return MeadowValue(m, 0)
-    return MeadowValue(m, 1 / a.value)
+        return a
+    p = m.modulus
+    return MeadowValue(m, 1 / a.value if p is None else pow(a.value, p - 2, p))
 
 
 def enumerate_carrier(m: MeadowKind) -> Iterator[MeadowValue]:
     """Yield each carrier element exactly once (finite meadows only)."""
-    if m.tag == _Q0:
+    if not m.is_finite:
         raise InfiniteCarrier("the rational meadow has an infinite carrier")
-    if m.tag == _TRIVIAL:
-        yield MeadowValue(m, 0)
-        return
     for r in range(m.modulus):
         yield MeadowValue(m, r)
 
@@ -412,7 +406,7 @@ def _sample_assignments(m: MeadowKind, mode: str, samples: int, seed: int):
     else:
         rng = random.Random(seed)
         for _ in range(samples):
-            if m.tag == _Q0:
+            if not m.is_finite:
                 yield random_rational(rng), random_rational(rng), random_rational(rng)
             else:
                 carrier = list(enumerate_carrier(m))
@@ -463,10 +457,6 @@ def check_meadow_axioms(
                 general_inverse = "fail"
             if meadow_mul(u, v, m) == meadow_mul(u, w, m) and v != w:
                 cancellation = "fail"
-    if m.tag == _TRIVIAL:
-        # no nonzero elements: both hold vacuously
-        pass
-
     return AxiomReport(
         suite="meadow",
         meadow=str(m),

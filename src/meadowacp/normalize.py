@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .meadow import cached_hash, eval_quantity, memo_attr, quantity_literal
+from .meadow import MeadowValue, QAdd, QNeg, cached_hash, eval_quantity, memo_attr
 from .terms import (
     Action,
     ActionLiteral,
@@ -29,6 +29,7 @@ from .terms import (
     ProcVar,
     Seq,
     SpecContext,
+    data_action,
     free_process_vars,
     free_quantity_vars,
     inline_definitions,
@@ -109,13 +110,7 @@ def embed(bt: BasicTerm) -> ProcessTerm:
         return Deadlock()
     parts = []
     for s in bt.summands:
-        act = s.action
-        if act.args:
-            node: ProcessTerm = DataAction(
-                act.name, tuple(quantity_literal(v.as_fraction()) for v in act.args)
-            )
-        else:
-            node = Action(act.name)
+        node = s.action.term()
         if s.continuation is not None:
             node = Seq(node, embed(s.continuation))
         parts.append(node)
@@ -179,7 +174,8 @@ def _comm_summand(
     else:
         direct = frozenset()
     if engine.debug_guard_chain and a1.args:
-        chain = _guard_chain_route(engine, a1, a2, name, residual)
+        # the chain holds no communication merge, so the cross-check cannot recurse
+        chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
         if chain != direct:
             raise GuardChainMismatch(
                 f"{a1} | {a2}: direct route {sorted(map(str, direct))} vs "
@@ -188,28 +184,21 @@ def _comm_summand(
     return direct
 
 
-def _guard_chain_route(
-    engine: "Engine",
-    a1: ActionLiteral,
-    a2: ActionLiteral,
+def guard_chain(
     name: str,
-    residual: Optional[ProcessTerm],
-) -> FrozenSet[HeadSummand]:
-    """Build the guard-chain term (u1-v1) -> (... -> e''(u1..un)) and take
-    its head normal form, as a cross-check of the direct equality test."""
-    from .meadow import QAdd, QNeg
-
-    core: ProcessTerm = DataAction(
-        name, tuple(quantity_literal(v.as_fraction()) for v in a1.args)
-    )
+    us: Sequence[MeadowValue],
+    vs: Sequence[MeadowValue],
+    residual: Optional[ProcessTerm] = None,
+) -> ProcessTerm:
+    """The guard chain (u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))
+    that axiom t3.12 gives for e(u1..un) | e'(v1..vn) when e | e' = e'';
+    with a residual r the innermost body is e''(u1..un) . r."""
+    term = data_action(name, us)
     if residual is not None:
-        core = Seq(core, residual)
-    term = core
-    for u, v in reversed(list(zip(a1.args, a2.args))):
-        diff = QAdd(quantity_literal(u.as_fraction()), QNeg(quantity_literal(v.as_fraction())))
-        term = Guard(diff, term)
-    # the chain holds no communication merge, so the cross-check cannot recurse
-    return _hnf(engine, term)
+        term = Seq(term, residual)
+    for u, v in reversed(list(zip(us, vs))):
+        term = Guard(QAdd(u.literal(), QNeg(v.literal())), term)
+    return term
 
 
 def _left_merge(

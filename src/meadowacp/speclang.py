@@ -25,6 +25,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .meadow import (
+    MeadowError,
     MeadowKind,
     QAdd,
     QConst,
@@ -212,19 +213,12 @@ class _Parser:
     def _meadow_decl(self) -> MeadowKind:
         tok = self.eat_ident()
         text = tok.text
-        if text == "Q0":
-            return MeadowKind.rationals()
-        if text == "trivial":
-            return MeadowKind.trivial()
-        if text == "F" and self.cur.kind == "int":
-            text = "F" + self.advance().text
-        m = re.fullmatch(r"F(\d+)", text)
-        if m:
-            try:
-                return MeadowKind.prime_field(int(m.group(1)))
-            except Exception as exc:
-                self.error(str(exc), tok)
-        self.error(f"unknown meadow {text!r}", tok)
+        if text in ("F", "f") and self.cur.kind == "int":
+            text += self.advance().text
+        try:
+            return MeadowKind.from_name(text)
+        except MeadowError as exc:
+            self.error(str(exc), tok)
 
     def _name_set(self, alphabet) -> set:
         self.eat_sym("{")

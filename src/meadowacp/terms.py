@@ -10,13 +10,12 @@ first step, mediated by the communication function gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .meadow import (
     MeadowKind,
     MeadowValue,
     QuantityTerm,
-    QVar,
     cached_hash,
     free_quantity_vars_q,
     memo_attr,
@@ -33,10 +32,6 @@ class OpenTerm(ProcessError):
 
 class UndefinedName(ProcessError):
     """A process reference has no definition."""
-
-
-class InvalidEncapSet(ProcessError):
-    """An encapsulation set mentions names outside the alphabet."""
 
 
 class ProcessTerm:
@@ -117,6 +112,11 @@ class ProcVar(ProcessTerm):
     name: str
 
 
+def data_action(name: str, values: Sequence[MeadowValue]) -> DataAction:
+    """The data action ``name(v1, ..., vn)`` with each value as a literal."""
+    return DataAction(name, tuple(v.literal() for v in values))
+
+
 @cached_hash
 @dataclass(frozen=True)
 class ActionLiteral:
@@ -131,6 +131,10 @@ class ActionLiteral:
             "_key",
             lambda: (self.name, len(self.args), tuple(v.sort_key() for v in self.args)),
         )
+
+    def term(self) -> ProcessTerm:
+        """The process term denoting this literal: a plain action when 0-ary."""
+        return data_action(self.name, self.args) if self.args else Action(self.name)
 
     def __str__(self) -> str:
         if not self.args:
@@ -223,25 +227,6 @@ class SpecContext:
     definitions: Dict[str, ProcessTerm] = field(default_factory=dict)
     sets: Dict[str, FrozenSet[str]] = field(default_factory=dict)
 
-    def encap(self, hide: Iterable[str], body: ProcessTerm) -> Encap:
-        """Validated Encap constructor: hide must lie inside the alphabet."""
-        h = frozenset(hide)
-        extra = h - self.alphabet
-        if extra:
-            raise InvalidEncapSet(
-                f"encapsulation set mentions unknown actions: {sorted(extra)}"
-            )
-        return Encap(h, body)
-
-    def validate_term(self, t: ProcessTerm) -> None:
-        """Raise if any Encap node in t steps outside the alphabet."""
-        for node in iter_subterms(t):
-            if isinstance(node, Encap) and not node.hide <= self.alphabet:
-                raise InvalidEncapSet(
-                    f"encapsulation set mentions unknown actions: "
-                    f"{sorted(node.hide - self.alphabet)}"
-                )
-
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
 
@@ -312,42 +297,3 @@ def inline_definitions(
             return t
         return inline_definitions(body, ctx, strict)
     return _map_children(t, lambda s: inline_definitions(s, ctx, strict))
-
-
-def substitute_quantity(t: QuantityTerm, qmap: Mapping[str, QuantityTerm]) -> QuantityTerm:
-    from .meadow import QAdd, QInv, QMul, QNeg
-
-    if isinstance(t, QVar):
-        return qmap.get(t.name, t)
-    if isinstance(t, QAdd):
-        return QAdd(substitute_quantity(t.lhs, qmap), substitute_quantity(t.rhs, qmap))
-    if isinstance(t, QMul):
-        return QMul(substitute_quantity(t.lhs, qmap), substitute_quantity(t.rhs, qmap))
-    if isinstance(t, QNeg):
-        return QNeg(substitute_quantity(t.arg, qmap))
-    if isinstance(t, QInv):
-        return QInv(substitute_quantity(t.arg, qmap))
-    return t
-
-
-def substitute(
-    t: ProcessTerm,
-    pmap: Mapping[str, ProcessTerm] = (),
-    qmap: Mapping[str, QuantityTerm] = (),
-) -> ProcessTerm:
-    """Simultaneously substitute process variables and quantity variables."""
-    pmap = dict(pmap)
-    qmap = dict(qmap)
-
-    def go(s: ProcessTerm) -> ProcessTerm:
-        if isinstance(s, ProcVar):
-            return pmap.get(s.name, s)
-        if isinstance(s, DataAction) and qmap:
-            return DataAction(
-                s.name, tuple(substitute_quantity(q, qmap) for q in s.args)
-            )
-        if isinstance(s, Guard) and qmap:
-            return Guard(substitute_quantity(s.cond, qmap), go(s.body))
-        return _map_children(s, go)
-
-    return go(t)

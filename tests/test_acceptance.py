@@ -27,7 +27,6 @@ from meadowacp import (
     normalize,
     parse_term,
     pretty_term,
-    quantity_literal,
     random_rational,
 )
 
@@ -159,8 +158,8 @@ def test_criterion_08_guard_chain_cross_check():
         us = tuple(rng.choice(carrier) for _ in range(n))
         vs = us if rng.random() < 0.5 else tuple(rng.choice(carrier) for _ in range(n))
         t = CommMerge(
-            DataAction(e, tuple(quantity_literal(u.as_fraction()) for u in us)),
-            DataAction(e2, tuple(quantity_literal(v.as_fraction()) for v in vs)),
+            DataAction(e, tuple(u.literal() for u in us)),
+            DataAction(e2, tuple(v.literal() for v in vs)),
         )
         # debug_guard_chain raises GuardChainMismatch if the routes differ
         assert normalize(t, ctx, debug_guard_chain=True) == normalize(t, ctx)

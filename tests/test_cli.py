@@ -36,6 +36,16 @@ class TestNormalize:
         rc = main(["normalize", "--spec", "/nonexistent.acpm", "a"])
         assert rc == 1
 
+    def test_too_deep_a_term_exits_1(self, sample_spec_path, capsys):
+        # past the interpreter's recursion limit, in the parser and in the
+        # normaliser; terms this deep become legal once both are stack-safe
+        for term in ["(" * 1000 + "a" + ")" * 1000, " . ".join(["a"] * 2000)]:
+            for argv in (["normalize", term], ["equiv", term, term]):
+                assert main([argv[0], "--spec", sample_spec_path, *argv[1:]]) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert err.startswith("error: term nested too deeply")
+
 
 class TestEquiv:
     def test_equivalent_exits_0(self, sample_spec_path, capsys):
@@ -94,6 +104,10 @@ class TestAxioms:
         out = capsys.readouterr().out
         assert "FAIL separation" in out
         assert "RESULT: PASS" in out
+        assert main(["axioms", "--meadow", "trivial", "--json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["meadow"] == "trivial"
+        assert report["separation"] == "fail"
         assert main(["axioms", "--meadow", "trivial", "--strict-separation"]) == 1
         assert "RESULT: FAIL" in capsys.readouterr().out
 
@@ -120,9 +134,14 @@ class TestAxioms:
         main(argv)
         assert capsys.readouterr().out == first
 
-    def test_unknown_meadow_exits_1(self, capsys):
+    def test_unknown_meadow_exits_1(self, tmp_path, capsys):
         assert main(["axioms", "--meadow", "f4"]) == 1
         assert main(["axioms", "--meadow", "zz"]) == 1
+        spec = tmp_path / "bad.acpm"
+        spec.write_text("act a;\nmeadow zz;\n")
+        capsys.readouterr()
+        assert main(["axioms", "--spec", str(spec)]) == 1
+        assert f"error: {spec}:2:8: unknown meadow 'zz'" in capsys.readouterr().err
 
     def test_requires_spec_or_meadow(self):
         with pytest.raises(SystemExit):

@@ -59,9 +59,16 @@ class TestOperations:
         assert F3.from_fraction(Fraction(1, 3)) == F3.zero()
 
     def test_trivial_meadow_collapses(self):
+        # the trivial meadow is Z/1Z: one element, which every op returns
+        assert TRIVIAL.modulus == 1
+        assert str(TRIVIAL) == "trivial"
         assert TRIVIAL.zero() == TRIVIAL.one()
-        v = TRIVIAL.from_int(17)
-        assert v == TRIVIAL.zero()
+        (z,) = enumerate_carrier(TRIVIAL)
+        assert z == TRIVIAL.zero()
+        assert TRIVIAL.from_int(17) == z
+        assert TRIVIAL.from_fraction(Fraction(2, 3)) == z
+        assert meadow_add(z, z, TRIVIAL) == meadow_mul(z, z, TRIVIAL) == z
+        assert meadow_neg(z, TRIVIAL) == meadow_inv(z, TRIVIAL) == z
 
     def test_inverse_against_brute_force(self):
         # oracle: search the carrier for a genuine multiplicative inverse

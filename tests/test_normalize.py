@@ -19,8 +19,12 @@ from meadowacp import (
     OpenTerm,
     Par,
     ProcVar,
+    QAdd,
     QConst,
+    QNeg,
+    QOne,
     QVar,
+    QZero,
     Seq,
     TermGen,
     default_context,
@@ -31,7 +35,7 @@ from meadowacp import (
     normalize,
     parse_term,
 )
-from meadowacp.normalize import _hnf
+from meadowacp.normalize import _hnf, guard_chain
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
@@ -150,23 +154,35 @@ class TestIsAtomic:
 
 class TestGuardAlgebra:
     def test_double_guard_is_conjunction(self, ctx):
-        from meadowacp import enumerate_carrier, quantity_literal
+        from meadowacp import enumerate_carrier
 
         for u in enumerate_carrier(ctx.meadow):
             for v in enumerate_carrier(ctx.meadow):
-                nested = Guard(quantity_literal(u.as_fraction()),
-                               Guard(quantity_literal(v.as_fraction()), a))
+                nested = Guard(u.literal(), Guard(v.literal(), a))
                 expect_enabled = u.is_zero and v.is_zero
                 assert normalize(nested, ctx).is_deadlock != expect_enabled
 
     def test_guard_distributes_over_alternative(self, ctx):
-        from meadowacp import enumerate_carrier, quantity_literal
+        from meadowacp import enumerate_carrier
 
         for u in enumerate_carrier(ctx.meadow):
-            q = quantity_literal(u.as_fraction())
+            q = u.literal()
             assert equal_terms(
                 Guard(q, Alt(a, b)), Alt(Guard(q, a), Guard(q, b)), ctx
             )
+
+    def test_guard_chain_spells_out_t3_12(self, ctx):
+        # a(2, 1) | b(2, 0) over F3 = [2 - 2] -> ([1 - 0] -> c(2, 1))
+        f3 = ctx.meadow
+        us = (f3.from_int(2), f3.one())
+        vs = (f3.from_int(2), f3.zero())
+        two = QConst(Fraction(2))
+        core = DataAction("c", (two, QOne()))
+        chain = Guard(QAdd(two, QNeg(two)), Guard(QAdd(QOne(), QNeg(QZero())), core))
+        assert guard_chain("c", us, vs) == chain
+        residual = Par(a, b)
+        with_residual = guard_chain("c", us, vs, residual)
+        assert with_residual.body.body == Seq(core, residual)
 
 
 def _reachable_nodes(nf):

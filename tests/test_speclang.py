@@ -46,9 +46,19 @@ class TestParseSpec:
         assert ctx.definitions["P"] == Alt(Seq(Action("a"), Action("b")), Deadlock())
 
     def test_meadow_variants(self):
-        assert parse_spec("act a; meadow Q0;").meadow == MeadowKind.rationals()
-        assert parse_spec("act a; meadow F5;").meadow == MeadowKind.prime_field(5)
-        assert parse_spec("act a; meadow trivial;").meadow == MeadowKind.trivial()
+        # the names of --meadow, in any case; the spec also reads "F 5"
+        for name, meadow in [
+            ("Q0", MeadowKind.rationals()),
+            ("q0", MeadowKind.rationals()),
+            ("trivial", MeadowKind.trivial()),
+            ("Trivial", MeadowKind.trivial()),
+            ("F5", MeadowKind.prime_field(5)),
+            ("f5", MeadowKind.prime_field(5)),
+        ]:
+            assert parse_spec(f"act a; meadow {name};").meadow == meadow
+            assert MeadowKind.from_name(name) == meadow
+        assert parse_spec("act a; meadow F 5;").meadow == MeadowKind.prime_field(5)
+        assert parse_spec("act a; meadow f 5;").meadow == MeadowKind.prime_field(5)
 
     def test_default_meadow_is_rationals(self):
         assert parse_spec("act a;").meadow == MeadowKind.rationals()
@@ -62,6 +72,10 @@ class TestParseSpec:
             parse_spec("act a;\ncomm a | z = a;", filename="demo.acpm")
         assert "demo.acpm:2:" in str(exc.value)
         assert "unknown action 'z'" in str(exc.value)
+        for name, message in [("F4", "modulus 4 is not prime"), ("zz", "unknown meadow 'zz'")]:
+            with pytest.raises(SpecError) as exc:
+                parse_spec(f"act a;\nmeadow {name};", filename="demo.acpm")
+            assert str(exc.value).startswith(f"demo.acpm:2:8: {message}")
 
     def test_non_prime_modulus_reported_at_declaration(self):
         with pytest.raises(SpecError) as exc:

@@ -10,7 +10,6 @@ from meadowacp import (
     Deadlock,
     Encap,
     Guard,
-    InvalidEncapSet,
     MeadowKind,
     Par,
     ProcVar,
@@ -22,7 +21,6 @@ from meadowacp import (
     free_process_vars,
     free_quantity_vars,
     inline_definitions,
-    substitute,
     validate_comm_spec,
 )
 from meadowacp.terms import iter_subterms
@@ -133,38 +131,6 @@ class TestDefinitions:
         ctx = SpecContext(alphabet=frozenset({"a"}))
         with pytest.raises(UndefinedName):
             inline_definitions(Seq(Action("a"), ProcVar("R")), ctx, strict=True)
-
-    def test_substitute(self):
-        t = Alt(ProcVar("x"), Guard(QVar("u"), DataAction("a", (QVar("u"),))))
-        out = substitute(t, {"x": Action("b")}, {"u": QZero()})
-        assert out == Alt(Action("b"), Guard(QZero(), DataAction("a", (QZero(),))))
-
-
-class TestEncapValidation:
-    def _ctx(self):
-        return SpecContext(alphabet=frozenset({"a", "b"}))
-
-    def test_encap_factory_accepts_alphabet_subset(self):
-        e = self._ctx().encap({"a"}, Action("b"))
-        assert e == Encap(frozenset({"a"}), Action("b"))
-
-    def test_encap_factory_rejects_unknown_names(self):
-        with pytest.raises(InvalidEncapSet):
-            self._ctx().encap({"z"}, Action("a"))
-
-    def test_validate_term_walks_nested_encaps(self):
-        ctx = self._ctx()
-        good = Seq(Encap(frozenset({"a"}), Action("b")), Action("a"))
-        ctx.validate_term(good)
-        bad = Alt(Action("a"), Encap(frozenset({"z"}), Action("a")))
-        with pytest.raises(InvalidEncapSet):
-            ctx.validate_term(bad)
-
-    def test_validate_term_walks_deep_terms(self):
-        ctx = self._ctx()
-        ctx.validate_term(_chain(10_000, Encap(frozenset({"a"}), Action("b"))))
-        with pytest.raises(InvalidEncapSet):
-            ctx.validate_term(_chain(10_000, Encap(frozenset({"z"}), Action("b"))))
 
 
 class TestContextDefaults:
