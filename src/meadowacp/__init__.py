@@ -53,7 +53,7 @@ from .terms import (
     ProcessTerm,
     Seq,
     SpecContext,
-    UndefinedName,
+    closed_ground_term,
     free_process_vars,
     free_quantity_vars,
     inline_definitions,
@@ -64,7 +64,6 @@ from .normalize import (
     Engine,
     GuardChainMismatch,
     Summand,
-    embed,
     equal_terms,
     is_atomic,
     normal_forms,

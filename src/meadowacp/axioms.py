@@ -470,10 +470,9 @@ def _run_schema(
     ctx: SpecContext,
     samples: int,
     seed: int,
-    max_depth: int = 3,
 ) -> AxiomResult:
     rng = random.Random(f"{seed}:{schema.id}")
-    gen = TermGen(ctx, rng, max_depth=max_depth)
+    gen = TermGen(ctx, rng, max_depth=3)
     status = "pass"
     counterexample = None
     checked = 0
@@ -519,12 +518,11 @@ def _run_suite(
     ctx: SpecContext,
     samples: int,
     seed: int,
-    max_depth: int = 3,
 ) -> AxiomReport:
     report = validate_comm_spec(ctx.comm, ctx.alphabet)
     if not report.valid:
         raise ValueError("invalid communication function: " + "; ".join(report.violations))
-    results = [_run_schema(sc, ctx, samples, seed, max_depth) for sc in schemas]
+    results = [_run_schema(sc, ctx, samples, seed) for sc in schemas]
     return AxiomReport(
         suite=suite,
         meadow=str(ctx.meadow),

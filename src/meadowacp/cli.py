@@ -14,13 +14,14 @@ from typing import List, Optional
 
 from .axioms import (
     OracleDisagreement,
+    _check_eq_instance,
     check_acp_axioms,
     check_derived,
     check_enriched_axioms,
 )
-from .lts import bisimilar, build_lts, to_dot
+from .lts import build_lts, to_dot
 from .meadow import MeadowError, MeadowKind, check_meadow_axioms
-from .normalize import GuardChainMismatch, normal_forms, normalize
+from .normalize import GuardChainMismatch, normalize
 from .speclang import SpecError, parse_spec, parse_term
 from .terms import ProcessError, SpecContext
 
@@ -45,18 +46,9 @@ def cmd_equiv(args) -> int:
     ctx = _load_spec(args.spec)
     t1 = parse_term(args.term1, ctx)
     t2 = parse_term(args.term2, ctx)
-    nf1, nf2 = normal_forms((t1, t2), ctx)
-    by_nf = nf1 is nf2
-    by_oracle = bisimilar(build_lts(t1, ctx), build_lts(t2, ctx))
-    if by_nf != by_oracle:
-        print(
-            f"internal disagreement: normal forms say "
-            f"{'equivalent' if by_nf else 'not equivalent'}, oracle says "
-            f"{'equivalent' if by_oracle else 'not equivalent'}",
-            file=sys.stderr,
-        )
-        return 2
-    verdict = "equivalent" if by_nf else "not equivalent"
+    # a disagreement of the two routes raises OracleDisagreement: exit 2
+    equivalent, nf1, nf2 = _check_eq_instance(t1, t2, ctx)
+    verdict = "equivalent" if equivalent else "not equivalent"
     if args.json:
         print(
             json.dumps(
@@ -71,7 +63,7 @@ def cmd_equiv(args) -> int:
     else:
         # rendered whole before printing, so a failed rendering prints no verdict
         print(f"{verdict}\n  {args.term1}  ~>  {nf1}\n  {args.term2}  ~>  {nf2}")
-    return 0 if by_nf else 1
+    return 0 if equivalent else 1
 
 
 def cmd_lts(args) -> int:

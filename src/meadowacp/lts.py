@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .normalize import Engine, _check_closed_ground, _hnf
-from .terms import ActionLiteral, ProcessTerm, SpecContext, inline_definitions
+from .normalize import Engine, _hnf
+from .terms import ActionLiteral, ProcessTerm, SpecContext, closed_ground_term
 
 
 @dataclass
@@ -31,8 +31,7 @@ class LTS:
 
 def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     """Explore all terms reachable from t by head-normal-form steps."""
-    t = inline_definitions(t, ctx, strict=False)
-    _check_closed_ground(t)
+    t = closed_ground_term(t, ctx)
 
     # an engine of its own: the oracle shares no cached result with the
     # normal forms it checks
@@ -113,9 +112,9 @@ def bisimilar(l1: LTS, l2: LTS) -> bool:
     return block[l1.initial] == block[l2.initial + offset]
 
 
-def to_dot(lts: LTS, name: str = "lts") -> str:
+def to_dot(lts: LTS) -> str:
     """Graphviz rendering; the Done state is double-circled."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph lts {", "  rankdir=LR;"]
     for s in range(lts.num_states):
         shape = "doublecircle" if s == lts.done else "circle"
         if s >= len(lts.terms):

@@ -10,7 +10,7 @@ what :func:`equal_terms` decides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .meadow import MeadowValue, QAdd, QNeg, cached_hash, eval_quantity, memo_attr
 from .terms import (
@@ -29,10 +29,8 @@ from .terms import (
     ProcVar,
     Seq,
     SpecContext,
+    closed_ground_term,
     data_action,
-    free_process_vars,
-    free_quantity_vars,
-    inline_definitions,
 )
 
 
@@ -104,37 +102,15 @@ class BasicTerm:
         return " + ".join(str(s) for s in self.summands)
 
 
-def embed(bt: BasicTerm) -> ProcessTerm:
-    """Turn a basic term back into a process term (sum of prefixed actions)."""
-    if not bt.summands:
-        return Deadlock()
-    parts = []
-    for s in bt.summands:
-        node = s.action.term()
-        if s.continuation is not None:
-            node = Seq(node, embed(s.continuation))
-        parts.append(node)
-    out = parts[0]
-    for p in parts[1:]:
-        out = Alt(out, p)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Head normal forms
 
 # A head summand is (ActionLiteral, residual process term or None for
-# successful termination).
+# successful termination).  An hnf keeps its head summands as the keys of
+# an insertion-ordered dict, not a set, so the order in which they are met
+# follows the term and not the string hash of this process.
 HeadSummand = Tuple[ActionLiteral, Optional[ProcessTerm]]
-
-
-def _check_closed_ground(t: ProcessTerm) -> None:
-    fv = free_process_vars(t)
-    if fv:
-        raise OpenTerm(f"free process variables: {sorted(fv)}")
-    qv = free_quantity_vars(t)
-    if qv:
-        raise OpenTerm(f"free quantity variables: {sorted(qv)}")
+Hnf = Dict[HeadSummand, None]
 
 
 def _seq_residual(k: Optional[ProcessTerm], q: ProcessTerm) -> ProcessTerm:
@@ -162,17 +138,15 @@ def _comm_summand(
     k1: Optional[ProcessTerm],
     a2: ActionLiteral,
     k2: Optional[ProcessTerm],
-) -> FrozenSet[HeadSummand]:
+) -> Hnf:
     """Synchronize two head summands, or drop them (deadlock)."""
     name = engine.ctx.comm.gamma(a1.name, a2.name)
     if name is None or len(a1.args) != len(a2.args):
-        return frozenset()
+        return {}
     residual = _par_residual(k1, k2)
-    direct: FrozenSet[HeadSummand]
+    direct: Hnf = {}
     if a1.args == a2.args:
-        direct = frozenset({(ActionLiteral(name, a1.args), residual)})
-    else:
-        direct = frozenset()
+        direct[(ActionLiteral(name, a1.args), residual)] = None
     if engine.debug_guard_chain and a1.args:
         # the chain holds no communication merge, so the cross-check cannot recurse
         chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
@@ -201,27 +175,21 @@ def guard_chain(
     return term
 
 
-def _left_merge(
-    head: FrozenSet[HeadSummand], rhs: ProcessTerm
-) -> FrozenSet[HeadSummand]:
+def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
     """The hnf of x |_ rhs, given the hnf of x."""
-    return frozenset((a, rhs if k is None else Par(k, rhs)) for a, k in head)
+    return dict.fromkeys((a, rhs if k is None else Par(k, rhs)) for a, k in head)
 
 
-def _comm_merge(
-    engine: "Engine",
-    left: FrozenSet[HeadSummand],
-    right: FrozenSet[HeadSummand],
-) -> FrozenSet[HeadSummand]:
+def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
     """The hnf of x | y, given the hnfs of x and y."""
-    acc: set = set()
+    acc: Hnf = {}
     for a1, k1 in left:
         for a2, k2 in right:
             acc |= _comm_summand(engine, a1, k1, a2, k2)
-    return frozenset(acc)
+    return acc
 
 
-def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
+def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
     cache = engine.hnf_cache
     hit = cache.get(t)
     if hit is not None:
@@ -229,15 +197,15 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
 
     ctx = engine.ctx
     if isinstance(t, Deadlock):
-        out: FrozenSet[HeadSummand] = frozenset()
+        out: Hnf = {}
     elif isinstance(t, Action):
-        out = frozenset({(ActionLiteral(t.name), None)})
+        out = {(ActionLiteral(t.name), None): None}
     elif isinstance(t, DataAction):
-        out = frozenset({(_eval_args(t, ctx), None)})
+        out = {(_eval_args(t, ctx), None): None}
     elif isinstance(t, Alt):
         out = _hnf(engine, t.lhs) | _hnf(engine, t.rhs)
     elif isinstance(t, Seq):
-        out = frozenset((a, _seq_residual(k, t.rhs)) for a, k in _hnf(engine, t.lhs))
+        out = dict.fromkeys((a, _seq_residual(k, t.rhs)) for a, k in _hnf(engine, t.lhs))
     elif isinstance(t, Par):
         # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
         left = _hnf(engine, t.lhs)
@@ -252,14 +220,14 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> FrozenSet[HeadSummand]:
     elif isinstance(t, CommMerge):
         out = _comm_merge(engine, _hnf(engine, t.lhs), _hnf(engine, t.rhs))
     elif isinstance(t, Encap):
-        out = frozenset(
+        out = dict.fromkeys(
             (a, k if k is None else Encap(t.hide, k))
             for a, k in _hnf(engine, t.body)
             if a.name not in t.hide
         )
     elif isinstance(t, Guard):
         cond = eval_quantity(t.cond, {}, ctx.meadow)
-        out = _hnf(engine, t.body) if cond.is_zero else frozenset()
+        out = _hnf(engine, t.body) if cond.is_zero else {}
     elif isinstance(t, ProcVar):
         raise OpenTerm(f"free process variable: {t.name}")
     else:
@@ -291,9 +259,7 @@ class Engine:
 
     def normalize(self, t: ProcessTerm) -> BasicTerm:
         """The canonical basic term of a closed, ground term."""
-        t = inline_definitions(t, self.ctx, strict=False)
-        _check_closed_ground(t)
-        return self._normalize(t)
+        return self._normalize(closed_ground_term(t, self.ctx))
 
     def _normalize(self, t: ProcessTerm) -> BasicTerm:
         hit = self._nf.get(t)

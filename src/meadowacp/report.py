@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -41,9 +40,6 @@ class AxiomReport:
     cancellation: Optional[str] = None
     general_inverse: Optional[str] = None
 
-    def axiom_ids(self) -> List[str]:
-        return [r.id for r in self.axioms]
-
     def failures(self) -> List[AxiomResult]:
         return [r for r in self.axioms if r.status != "pass"]
 
@@ -66,6 +62,3 @@ class AxiomReport:
             if value is not None:
                 d[key] = value
         return d
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

@@ -30,10 +30,6 @@ class OpenTerm(ProcessError):
     """An operation requiring a closed, ground term met a free variable."""
 
 
-class UndefinedName(ProcessError):
-    """A process reference has no definition."""
-
-
 class ProcessTerm:
     __slots__ = ()
 
@@ -277,23 +273,46 @@ def _map_children(t: ProcessTerm, f) -> ProcessTerm:
     raise TypeError(f"not a process term: {t!r}")
 
 
-def inline_definitions(
-    t: ProcessTerm, ctx: SpecContext, strict: bool = True
-) -> ProcessTerm:
+def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     """Replace every reference to a named definition by its (inlined) body.
 
-    With strict=True an undefined name raises UndefinedName; otherwise
-    unknown ProcVar nodes are left in place (they are genuinely free
-    process variables, e.g. in axiom schemas).  Returns t itself when there
-    is nothing to inline.
+    A ProcVar without a definition stays in place: it is a free process
+    variable, as in the axiom schemas.  Returns t itself when there is
+    nothing to inline.  Definitions that refer to themselves, directly or
+    through others, raise a ProcessError naming the cycle.
     """
-    if not (ctx.definitions or strict):
+    defs = ctx.definitions
+    if not defs:
         return t
-    if isinstance(t, ProcVar):
-        body = ctx.definitions.get(t.name)
-        if body is None:
-            if strict:
-                raise UndefinedName(t.name)
-            return t
-        return inline_definitions(body, ctx, strict)
-    return _map_children(t, lambda s: inline_definitions(s, ctx, strict))
+
+    def inline(t: ProcessTerm, path: Tuple[str, ...]) -> ProcessTerm:
+        if isinstance(t, ProcVar) and t.name in defs:
+            if t.name in path:
+                cycle = path[path.index(t.name):] + (t.name,)
+                raise ProcessError("cyclic definitions: " + " -> ".join(cycle))
+            return inline(defs[t.name], path + (t.name,))
+        return _map_children(t, lambda s: inline(s, path))
+
+    return inline(t, ())
+
+
+def closed_ground_term(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
+    """The gate of every query: t with its definitions inlined, checked to
+    be closed and ground (else OpenTerm).
+
+    The result is recorded on t with the context, so the next query on t
+    in the same context neither inlines nor walks it again.
+    """
+    seen = t.__dict__.get("_gate")
+    if seen is not None and seen[0] is ctx:
+        return t if seen[1] is None else seen[1]
+    g = inline_definitions(t, ctx)
+    fv = free_process_vars(g)
+    if fv:
+        raise OpenTerm(f"free process variables: {sorted(fv)}")
+    qv = free_quantity_vars(g)
+    if qv:
+        raise OpenTerm(f"free quantity variables: {sorted(qv)}")
+    # None for t itself, so that t holds no reference to itself
+    object.__setattr__(t, "_gate", (ctx, None if g is t else g))
+    return g

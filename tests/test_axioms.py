@@ -1,5 +1,6 @@
 """Tests for the axiom-suite harness: coverage, determinism, report shape."""
 
+import importlib
 import json
 
 import pytest
@@ -11,7 +12,10 @@ from meadowacp import (
     Action,
     Alt,
     CommSpec,
+    Engine,
     MeadowKind,
+    OracleDisagreement,
+    Par,
     Seq,
     SpecContext,
     check_acp_axioms,
@@ -19,7 +23,11 @@ from meadowacp import (
     check_enriched_axioms,
     default_context,
 )
-from meadowacp.axioms import AxiomSchema, _run_schema
+from meadowacp import lts, terms
+from meadowacp.axioms import AxiomSchema, _check_eq_instance, _run_schema
+
+# the package's own name normalize is the function
+normalize = importlib.import_module("meadowacp.normalize")
 
 
 class TestCoverageManifest:
@@ -35,9 +43,12 @@ class TestCoverageManifest:
         assert DERIVED_AXIOM_IDS == ["d.01", "d.02", "d.03"]
 
     def test_reports_list_every_id(self, ctx):
-        assert check_acp_axioms(ctx, samples=2).axiom_ids() == ACP_AXIOM_IDS
-        assert check_enriched_axioms(ctx, samples=2).axiom_ids() == ENRICHED_AXIOM_IDS
-        assert check_derived(ctx, samples=2).axiom_ids() == DERIVED_AXIOM_IDS
+        def ids(report):
+            return [r.id for r in report.axioms]
+
+        assert ids(check_acp_axioms(ctx, samples=2)) == ACP_AXIOM_IDS
+        assert ids(check_enriched_axioms(ctx, samples=2)) == ENRICHED_AXIOM_IDS
+        assert ids(check_derived(ctx, samples=2)) == DERIVED_AXIOM_IDS
 
 
 class TestSmallRuns:
@@ -57,7 +68,7 @@ class TestSmallRuns:
     def test_runs_are_deterministic(self, ctx):
         r1 = check_acp_axioms(ctx, samples=5, seed=3)
         r2 = check_acp_axioms(ctx, samples=5, seed=3)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()
 
     def test_invalid_comm_spec_rejected(self):
         ctx = SpecContext(
@@ -72,7 +83,7 @@ class TestSmallRuns:
 class TestReportShape:
     def test_json_schema(self, ctx):
         report = check_enriched_axioms(ctx, samples=3)
-        d = json.loads(report.to_json())
+        d = json.loads(json.dumps(report.to_dict()))
         assert d["suite"] == "enriched"
         assert d["meadow"] == "F3"
         assert d["mode"].startswith("random(")
@@ -108,3 +119,42 @@ class TestFailureReport:
         result = _run_schema(schema, ctx, samples=5, seed=0)
         assert result.status == "fail"
         assert result.counterexample == {"instance": "a + b"}
+
+
+class TestDualCheck:
+    """Each route checks the other: a fault in one shows as a disagreement,
+    a fault in a rule both share as a failing axiom."""
+
+    def test_each_term_passes_the_gate_once(self, ctx, monkeypatch):
+        calls = []
+        for name in ("free_process_vars", "free_quantity_vars"):
+            walk = getattr(terms, name)
+            monkeypatch.setattr(
+                terms, name, lambda t, name=name, walk=walk: calls.append(name) or walk(t)
+            )
+        a, b = Action("a"), Action("b")
+        assert _check_eq_instance(Par(a, b), Par(b, a), ctx)[0]
+        assert sorted(calls) == ["free_process_vars"] * 2 + ["free_quantity_vars"] * 2
+
+    def test_unshared_normal_forms_disagree_with_the_oracle(self, ctx, monkeypatch):
+        # without interning, equal normal forms are no longer one object
+        monkeypatch.setattr(Engine, "_intern", lambda self, node: node)
+        a = Action("a")
+        with pytest.raises(OracleDisagreement):
+            _check_eq_instance(Alt(a, a), a, ctx)
+
+    def test_a_wrong_rule_both_routes_share_fails_its_axiom(self, ctx, monkeypatch):
+        real = normalize._hnf
+
+        def hnf_without_communication(engine, t):
+            if isinstance(t, Par):
+                left = hnf_without_communication(engine, t.lhs)
+                right = hnf_without_communication(engine, t.rhs)
+                return normalize._left_merge(left, t.rhs) | normalize._left_merge(right, t.lhs)
+            return real(engine, t)
+
+        monkeypatch.setattr(normalize, "_hnf", hnf_without_communication)
+        monkeypatch.setattr(lts, "_hnf", hnf_without_communication)
+        # at seed 0 the first instance of t2.13 with a synchronization is the 26th
+        report = check_acp_axioms(ctx, samples=30)
+        assert {r.id: r.status for r in report.axioms}["t2.13"] == "fail"

@@ -1,9 +1,15 @@
 """Tests for the command-line interface, via main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meadowacp
+from meadowacp import Engine
 from meadowacp.cli import main
 
 
@@ -67,6 +73,14 @@ class TestEquiv:
         assert d["normal_form_1"] == d["normal_form_2"] == "a . b"
 
 
+    def test_disagreement_of_the_routes_exits_2(self, sample_spec_path, capsys, monkeypatch):
+        monkeypatch.setattr(Engine, "_intern", lambda self, node: node)
+        assert main(["equiv", "--spec", sample_spec_path, "a + a", "a"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("internal disagreement: ")
+
+
 class TestLts:
     def test_text_output(self, sample_spec_path, capsys):
         rc = main(["lts", "--spec", sample_spec_path, "a"])
@@ -89,6 +103,20 @@ class TestLts:
         out = capsys.readouterr().out
         assert out.startswith("digraph")
         assert "doublecircle" in out
+
+    def test_state_numbering_does_not_depend_on_the_string_hash(self, sample_spec_path):
+        src = str(Path(meadowacp.__file__).parent.parent)
+        for flag in ("--json", "--dot"):
+            outputs = set()
+            for seed in ("0", "1"):
+                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+                argv = ["lts", "--spec", sample_spec_path, "a . b || b . c || c(1)", flag]
+                run = subprocess.run(
+                    [sys.executable, "-m", "meadowacp.cli", *argv],
+                    env=env, capture_output=True, text=True, check=True,
+                )
+                outputs.add(run.stdout)
+            assert len(outputs) == 1, flag
 
 
 class TestAxioms:

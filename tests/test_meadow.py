@@ -188,4 +188,4 @@ class TestMeadowAxioms:
     def test_random_sampler_is_deterministic(self):
         r1 = check_meadow_axioms(Q0, mode="random", samples=50, seed=7)
         r2 = check_meadow_axioms(Q0, mode="random", samples=50, seed=7)
-        assert r1.to_json() == r2.to_json()
+        assert r1.to_dict() == r2.to_dict()

@@ -11,18 +11,23 @@ from meadowacp import (
     Encap,
     Guard,
     MeadowKind,
+    OpenTerm,
     Par,
     ProcVar,
+    ProcessError,
     QVar,
     QZero,
     Seq,
     SpecContext,
-    UndefinedName,
+    build_lts,
+    closed_ground_term,
     free_process_vars,
     free_quantity_vars,
     inline_definitions,
+    normalize,
     validate_comm_spec,
 )
+from meadowacp import terms
 from meadowacp.terms import iter_subterms
 
 
@@ -110,27 +115,83 @@ class TestDefinitions:
         t = inline_definitions(Encap(hide, Guard(QZero(), ProcVar("Q"))), self._ctx())
         assert t == Encap(hide, Guard(QZero(), Alt(Action("b"), Deadlock())))
 
-    def test_inline_strict_raises_on_undefined(self):
-        with pytest.raises(UndefinedName):
-            inline_definitions(ProcVar("R"), self._ctx(), strict=True)
-
     def test_inline_non_strict_keeps_unknown(self):
-        t = inline_definitions(Alt(ProcVar("R"), ProcVar("Q")), self._ctx(), strict=False)
+        t = inline_definitions(Alt(ProcVar("R"), ProcVar("Q")), self._ctx())
         assert t == Alt(ProcVar("R"), Alt(Action("b"), Deadlock()))
 
     def test_inline_without_definitions_returns_the_term(self):
         ctx = SpecContext(alphabet=frozenset({"a"}))
         t = Alt(Seq(Action("a"), ProcVar("R")), Deadlock())
-        assert inline_definitions(t, ctx, strict=False) is t
+        assert inline_definitions(t, ctx) is t
 
     def test_inline_without_references_returns_the_term(self):
         t = Par(Seq(Action("a"), Action("b")), Guard(QZero(), Encap(frozenset({"a"}), Deadlock())))
         assert inline_definitions(t, self._ctx()) is t
 
-    def test_inline_strict_raises_without_definitions(self):
+    def test_cyclic_definitions_raise_naming_the_cycle(self):
+        ctx = SpecContext(
+            alphabet=frozenset({"a"}),
+            definitions={
+                "P": Seq(Action("a"), ProcVar("Q")),
+                "Q": ProcVar("P"),
+                "S": ProcVar("S"),
+            },
+        )
+        for query in (inline_definitions, normalize, build_lts):
+            with pytest.raises(ProcessError, match=r"^cyclic definitions: P -> Q -> P$"):
+                query(Alt(Action("a"), ProcVar("P")), ctx)
+        with pytest.raises(ProcessError, match=r"^cyclic definitions: Q -> P -> Q$"):
+            inline_definitions(ProcVar("Q"), ctx)
+        with pytest.raises(ProcessError, match=r"^cyclic definitions: S -> S$"):
+            inline_definitions(Seq(Action("a"), ProcVar("S")), ctx)
+
+    def test_a_definition_used_twice_is_no_cycle(self):
+        ctx = SpecContext(
+            alphabet=frozenset({"a"}),
+            definitions={"P": Action("a"), "Q": Par(ProcVar("P"), ProcVar("P"))},
+        )
+        assert inline_definitions(ProcVar("Q"), ctx) == Par(Action("a"), Action("a"))
+
+
+class TestGate:
+    """closed_ground_term: the one check every query makes of its term."""
+
+    _ctx = TestDefinitions._ctx
+
+    def test_gate_rejects_an_undefined_name(self):
+        with pytest.raises(OpenTerm, match=r"^free process variables: \['R'\]$"):
+            closed_ground_term(Seq(ProcVar("P"), ProcVar("R")), self._ctx())
+
+    def test_gate_rejects_an_undefined_name_without_definitions(self):
         ctx = SpecContext(alphabet=frozenset({"a"}))
-        with pytest.raises(UndefinedName):
-            inline_definitions(Seq(Action("a"), ProcVar("R")), ctx, strict=True)
+        with pytest.raises(OpenTerm, match=r"^free process variables: \['R'\]$"):
+            closed_ground_term(Seq(Action("a"), ProcVar("R")), ctx)
+
+    def test_gate_rejects_a_free_quantity_variable(self):
+        t = Guard(QVar("u"), DataAction("a", (QVar("v"),)))
+        with pytest.raises(OpenTerm, match=r"^free quantity variables: \['u', 'v'\]$"):
+            closed_ground_term(t, self._ctx())
+
+    def test_gate_inlines_and_records_the_result(self, monkeypatch):
+        walks = []
+        walk = terms.free_process_vars
+        monkeypatch.setattr(terms, "free_process_vars", lambda t: walks.append(t) or walk(t))
+        ctx = self._ctx()
+        t = Par(ProcVar("P"), Action("b"))
+        g = closed_ground_term(t, ctx)
+        assert g == Par(Seq(Action("a"), Alt(Action("b"), Deadlock())), Action("b"))
+        assert closed_ground_term(t, ctx) is g
+        assert walks == [g]
+        # another context may define P otherwise, so t is checked again
+        other = SpecContext(alphabet=frozenset({"a", "b"}), definitions={"P": Action("a")})
+        assert closed_ground_term(t, other) == Par(Action("a"), Action("b"))
+        assert len(walks) == 2
+
+    def test_a_term_without_references_passes_as_itself(self):
+        t = Seq(Action("a"), Action("b"))
+        ctx = self._ctx()
+        assert closed_ground_term(t, ctx) is t
+        assert closed_ground_term(t, ctx) is t
 
 
 class TestContextDefaults:
