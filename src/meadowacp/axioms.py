@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lts import bisimilar, build_lts
@@ -25,15 +26,14 @@ from .meadow import (
     QInv,
     QMul,
     QNeg,
-    QOne,
-    QZero,
     QuantityTerm,
+    QVar,
     enumerate_carrier,
     random_rational,
 )
 from .normalize import BasicTerm, guard_chain, normal_forms, normalize
 from .report import AxiomReport, AxiomResult
-from .speclang import pretty_term
+from .speclang import parse_term, pretty_term
 from .terms import (
     Action,
     ActionLiteral,
@@ -44,11 +44,12 @@ from .terms import (
     Deadlock,
     Encap,
     Guard,
-    LeftMerge,
     Par,
     ProcessTerm,
+    ProcVar,
     Seq,
     SpecContext,
+    _map_children,
     data_action,
     validate_comm_spec,
 )
@@ -66,14 +67,6 @@ def default_context(meadow: Optional[MeadowKind] = None) -> SpecContext:
         comm=CommSpec.symmetric({("a", "b"): "c"}),
         meadow=meadow or MeadowKind.prime_field(3),
     )
-
-
-def qdiv(p: QuantityTerm, q: QuantityTerm) -> QuantityTerm:
-    return QMul(p, QInv(q))
-
-
-def qsub(p: QuantityTerm, q: QuantityTerm) -> QuantityTerm:
-    return QAdd(p, QNeg(q))
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +160,20 @@ class AxiomSchema:
     name: str
     kind: str  # "eq" | "isact"
     specs: Sequence[VarSpec]
-    build: Callable[[dict], tuple]
+    build: Optional[Callable[[dict], tuple]] = None  # for a name that does not parse
     sample: Optional[Callable] = None  # overrides the standard sampler
+
+    @cached_property
+    def sides(self) -> Tuple[ProcessTerm, ...]:
+        """The sides of the name, before any "  if" condition, parsed in
+        _SCHEMA_CTX on first use, not at import, which every CLI call pays."""
+        equation = self.name.split("  if ")[0]
+        return tuple(parse_term(side, _SCHEMA_CTX) for side in equation.split(" = "))
+
+    def instance(self, s: dict) -> tuple:
+        if self.build is not None:
+            return self.build(s)
+        return tuple(_instantiate(t, s) for t in self.sides)
 
 
 def _std_sample(specs: Sequence[VarSpec], i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
@@ -249,84 +254,66 @@ def _sample_mixed_arity(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
     }
 
 
+# An equation schema is written once, as its name.  x, y, z are process
+# variables (placeholder definitions), a, b action literals, e an action
+# name, u, v quantities and H the encapsulated set.
+_SCHEMA_CTX = SpecContext(frozenset({"a", "b", "e"}), definitions=dict.fromkeys("xyz"),
+                          sets={"H": frozenset()})
+
+
+def _instantiate_q(q: QuantityTerm, s: dict) -> QuantityTerm:
+    if isinstance(q, QVar):
+        return s[q.name].literal()
+    if isinstance(q, (QAdd, QMul)):
+        return type(q)(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
+    if isinstance(q, (QNeg, QInv)):
+        return type(q)(_instantiate_q(q.arg, s))
+    return q
+
+
+def _instantiate(t: ProcessTerm, s: dict) -> ProcessTerm:
+    if isinstance(t, ProcVar):
+        return s[t.name]
+    if isinstance(t, Action):
+        return Action(s["e"]) if t.name == "e" else s[t.name].term()
+    if isinstance(t, Guard):
+        return Guard(_instantiate_q(t.cond, s), _instantiate(t.body, s))
+    if isinstance(t, Encap):
+        return Encap(s["H"], _instantiate(t.body, s))
+    return _map_children(t, lambda c: _instantiate(c, s))
+
+
+def _eq(id: str, name: str, specs: Sequence[VarSpec]) -> AxiomSchema:
+    return AxiomSchema(id, name, "eq", specs)
+
+
 ACP_AXIOMS: List[AxiomSchema] = [
-    AxiomSchema("t2.01", "x + y = y + x", "eq", [("x", "p"), ("y", "p")],
-                lambda s: (Alt(s["x"], s["y"]), Alt(s["y"], s["x"]))),
-    AxiomSchema("t2.02", "(x + y) + z = x + (y + z)", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (Alt(Alt(s["x"], s["y"]), s["z"]),
-                           Alt(s["x"], Alt(s["y"], s["z"])))),
-    AxiomSchema("t2.03", "x + x = x", "eq", [("x", "p")],
-                lambda s: (Alt(s["x"], s["x"]), s["x"])),
-    AxiomSchema("t2.04", "(x + y) . z = x . z + y . z", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (Seq(Alt(s["x"], s["y"]), s["z"]),
-                           Alt(Seq(s["x"], s["z"]), Seq(s["y"], s["z"])))),
-    AxiomSchema("t2.05", "(x . y) . z = x . (y . z)", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (Seq(Seq(s["x"], s["y"]), s["z"]),
-                           Seq(s["x"], Seq(s["y"], s["z"])))),
-    AxiomSchema("t2.06", "x + delta = x", "eq", [("x", "p")],
-                lambda s: (Alt(s["x"], Deadlock()), s["x"])),
-    AxiomSchema("t2.07", "delta . x = delta", "eq", [("x", "p")],
-                lambda s: (Seq(Deadlock(), s["x"]), Deadlock())),
-    AxiomSchema("t2.08", "encap(H, e) = e  if e notin H", "eq",
-                [("e", "const"), ("H", "h-e")],
-                lambda s: (Encap(s["H"], Action(s["e"])), Action(s["e"]))),
-    AxiomSchema("t2.09", "encap(H, e) = delta  if e in H", "eq",
-                [("e", "const"), ("H", "h+e")],
-                lambda s: (Encap(s["H"], Action(s["e"])), Deadlock())),
-    AxiomSchema("t2.10", "encap(H, delta) = delta", "eq", [("H", "h")],
-                lambda s: (Encap(s["H"], Deadlock()), Deadlock())),
-    AxiomSchema("t2.11", "encap(H, x + y) = encap(H, x) + encap(H, y)", "eq",
-                [("x", "p"), ("y", "p"), ("H", "h")],
-                lambda s: (Encap(s["H"], Alt(s["x"], s["y"])),
-                           Alt(Encap(s["H"], s["x"]), Encap(s["H"], s["y"])))),
-    AxiomSchema("t2.12", "encap(H, x . y) = encap(H, x) . encap(H, y)", "eq",
-                [("x", "p"), ("y", "p"), ("H", "h")],
-                lambda s: (Encap(s["H"], Seq(s["x"], s["y"])),
-                           Seq(Encap(s["H"], s["x"]), Encap(s["H"], s["y"])))),
-    AxiomSchema("t2.13", "x || y = (x |_ y + y |_ x) + x | y", "eq",
-                [("x", "p"), ("y", "p")],
-                lambda s: (Par(s["x"], s["y"]),
-                           Alt(Alt(LeftMerge(s["x"], s["y"]),
-                                   LeftMerge(s["y"], s["x"])),
-                               CommMerge(s["x"], s["y"])))),
-    AxiomSchema("t2.14", "a |_ x = a . x", "eq", [("a", "lit"), ("x", "p")],
-                lambda s: (LeftMerge(s["a"].term(), s["x"]),
-                           Seq(s["a"].term(), s["x"]))),
-    AxiomSchema("t2.15", "a . x |_ y = a . (x || y)", "eq",
-                [("a", "lit"), ("x", "p"), ("y", "p")],
-                lambda s: (LeftMerge(Seq(s["a"].term(), s["x"]), s["y"]),
-                           Seq(s["a"].term(), Par(s["x"], s["y"])))),
-    AxiomSchema("t2.16", "(x + y) |_ z = x |_ z + y |_ z", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (LeftMerge(Alt(s["x"], s["y"]), s["z"]),
-                           Alt(LeftMerge(s["x"], s["z"]),
-                               LeftMerge(s["y"], s["z"])))),
-    AxiomSchema("t2.17", "a | b . x = (a | b) . x", "eq",
-                [("a", "lit"), ("b", "lit"), ("x", "p")],
-                lambda s: (CommMerge(s["a"].term(), Seq(s["b"].term(), s["x"])),
-                           Seq(CommMerge(s["a"].term(), s["b"].term()), s["x"]))),
-    AxiomSchema("t2.18", "a . x | b . y = (a | b) . (x || y)", "eq",
-                [("a", "lit"), ("b", "lit"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(Seq(s["a"].term(), s["x"]),
-                                     Seq(s["b"].term(), s["y"])),
-                           Seq(CommMerge(s["a"].term(), s["b"].term()),
-                               Par(s["x"], s["y"])))),
-    AxiomSchema("t2.19", "(x + y) | z = x | z + y | z", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (CommMerge(Alt(s["x"], s["y"]), s["z"]),
-                           Alt(CommMerge(s["x"], s["z"]),
-                               CommMerge(s["y"], s["z"])))),
-    AxiomSchema("t2.20", "x | y = y | x", "eq", [("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(s["x"], s["y"]), CommMerge(s["y"], s["x"]))),
-    AxiomSchema("t2.21", "(x | y) | z = x | (y | z)", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (CommMerge(CommMerge(s["x"], s["y"]), s["z"]),
-                           CommMerge(s["x"], CommMerge(s["y"], s["z"])))),
-    AxiomSchema("t2.22", "delta | x = delta", "eq", [("x", "p")],
-                lambda s: (CommMerge(Deadlock(), s["x"]), Deadlock())),
+    _eq("t2.01", "x + y = y + x", [("x", "p"), ("y", "p")]),
+    _eq("t2.02", "(x + y) + z = x + (y + z)", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.03", "x + x = x", [("x", "p")]),
+    _eq("t2.04", "(x + y) . z = x . z + y . z", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.05", "(x . y) . z = x . (y . z)", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.06", "x + delta = x", [("x", "p")]),
+    _eq("t2.07", "delta . x = delta", [("x", "p")]),
+    _eq("t2.08", "encap(H, e) = e  if e notin H", [("e", "const"), ("H", "h-e")]),
+    _eq("t2.09", "encap(H, e) = delta  if e in H", [("e", "const"), ("H", "h+e")]),
+    _eq("t2.10", "encap(H, delta) = delta", [("H", "h")]),
+    _eq("t2.11", "encap(H, x + y) = encap(H, x) + encap(H, y)",
+        [("x", "p"), ("y", "p"), ("H", "h")]),
+    _eq("t2.12", "encap(H, x . y) = encap(H, x) . encap(H, y)",
+        [("x", "p"), ("y", "p"), ("H", "h")]),
+    _eq("t2.13", "x || y = (x |_ y + y |_ x) + x | y", [("x", "p"), ("y", "p")]),
+    _eq("t2.14", "a |_ x = a . x", [("a", "lit"), ("x", "p")]),
+    _eq("t2.15", "a . x |_ y = a . (x || y)", [("a", "lit"), ("x", "p"), ("y", "p")]),
+    _eq("t2.16", "(x + y) |_ z = x |_ z + y |_ z", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.17", "a | b . x = (a | b) . x", [("a", "lit"), ("b", "lit"), ("x", "p")]),
+    _eq("t2.18", "a . x | b . y = (a | b) . (x || y)",
+        [("a", "lit"), ("b", "lit"), ("x", "p"), ("y", "p")]),
+    _eq("t2.19", "(x + y) | z = x | z + y | z", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.20", "x | y = y | x", [("x", "p"), ("y", "p")]),
+    _eq("t2.21", "(x | y) | z = x | (y | z)", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("t2.22", "delta | x = delta", [("x", "p")]),
+    # isact is a predicate, not an equation
     AxiomSchema("t2.23", "isact(e)", "isact", [("e", "const")],
                 lambda s: (Action(s["e"]), True)),
     AxiomSchema("t2.24", "isact(x) & isact(y) => isact(x | y)", "isact",
@@ -336,52 +323,25 @@ ACP_AXIOMS: List[AxiomSchema] = [
 
 
 ENRICHED_AXIOMS: List[AxiomSchema] = [
-    AxiomSchema("t3.01", "[0] -> x = x", "eq", [("x", "p")],
-                lambda s: (Guard(QZero(), s["x"]), s["x"])),
-    AxiomSchema("t3.02", "[1] -> x = delta", "eq", [("x", "p")],
-                lambda s: (Guard(QOne(), s["x"]), Deadlock())),
-    AxiomSchema("t3.03", "[u] -> x = [u/u] -> x", "eq",
-                [("u", "q"), ("x", "p")],
-                lambda s: (Guard(s["u"].literal(), s["x"]),
-                           Guard(qdiv(s["u"].literal(), s["u"].literal()), s["x"]))),
-    AxiomSchema("t3.04", "[u] -> ([v] -> x) = [1 - (1 - u/u)*(1 - v/v)] -> x", "eq",
-                [("u", "q"), ("v", "q"), ("x", "p")],
-                lambda s: (Guard(s["u"].literal(), Guard(s["v"].literal(), s["x"])),
-                           Guard(qsub(QOne(),
-                                      QMul(qsub(QOne(),
-                                                qdiv(s["u"].literal(), s["u"].literal())),
-                                           qsub(QOne(),
-                                                qdiv(s["v"].literal(), s["v"].literal())))),
-                                 s["x"]))),
-    AxiomSchema("t3.05", "[u] -> x + [v] -> x = [u/u * v/v] -> x", "eq",
-                [("u", "q"), ("v", "q"), ("x", "p")],
-                lambda s: (Alt(Guard(s["u"].literal(), s["x"]),
-                               Guard(s["v"].literal(), s["x"])),
-                           Guard(QMul(qdiv(s["u"].literal(), s["u"].literal()),
-                                      qdiv(s["v"].literal(), s["v"].literal())), s["x"]))),
-    AxiomSchema("t3.06", "[u] -> delta = delta", "eq", [("u", "q")],
-                lambda s: (Guard(s["u"].literal(), Deadlock()), Deadlock())),
-    AxiomSchema("t3.07", "[u] -> (x + y) = [u] -> x + [u] -> y", "eq",
-                [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (Guard(s["u"].literal(), Alt(s["x"], s["y"])),
-                           Alt(Guard(s["u"].literal(), s["x"]),
-                               Guard(s["u"].literal(), s["y"])))),
+    _eq("t3.01", "[0] -> x = x", [("x", "p")]),
+    _eq("t3.02", "[1] -> x = delta", [("x", "p")]),
+    _eq("t3.03", "[u] -> x = [u/u] -> x", [("u", "q"), ("x", "p")]),
+    _eq("t3.04", "[u] -> ([v] -> x) = [1 - (1 - u/u)*(1 - v/v)] -> x",
+        [("u", "q"), ("v", "q"), ("x", "p")]),
+    _eq("t3.05", "[u] -> x + [v] -> x = [u/u * v/v] -> x",
+        [("u", "q"), ("v", "q"), ("x", "p")]),
+    _eq("t3.06", "[u] -> delta = delta", [("u", "q")]),
+    _eq("t3.07", "[u] -> (x + y) = [u] -> x + [u] -> y", [("u", "q"), ("x", "p"), ("y", "p")]),
+    # a guard's body is a factor, so the name's left side parses as its right side
     AxiomSchema("t3.08", "[u] -> x . y = ([u] -> x) . y", "eq",
                 [("u", "q"), ("x", "p"), ("y", "p")],
                 lambda s: (Guard(s["u"].literal(), Seq(s["x"], s["y"])),
                            Seq(Guard(s["u"].literal(), s["x"]), s["y"]))),
-    AxiomSchema("t3.09", "([u] -> x) |_ y = [u] -> (x |_ y)", "eq",
-                [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (LeftMerge(Guard(s["u"].literal(), s["x"]), s["y"]),
-                           Guard(s["u"].literal(), LeftMerge(s["x"], s["y"])))),
-    AxiomSchema("t3.10", "([u] -> x) | y = [u] -> (x | y)", "eq",
-                [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(Guard(s["u"].literal(), s["x"]), s["y"]),
-                           Guard(s["u"].literal(), CommMerge(s["x"], s["y"])))),
-    AxiomSchema("t3.11", "encap(H, [u] -> x) = [u] -> encap(H, x)", "eq",
-                [("u", "q"), ("x", "p"), ("H", "h")],
-                lambda s: (Encap(s["H"], Guard(s["u"].literal(), s["x"])),
-                           Guard(s["u"].literal(), Encap(s["H"], s["x"])))),
+    _eq("t3.09", "([u] -> x) |_ y = [u] -> (x |_ y)", [("u", "q"), ("x", "p"), ("y", "p")]),
+    _eq("t3.10", "([u] -> x) | y = [u] -> (x | y)", [("u", "q"), ("x", "p"), ("y", "p")]),
+    _eq("t3.11", "encap(H, [u] -> x) = [u] -> encap(H, x)",
+        [("u", "q"), ("x", "p"), ("H", "h")]),
+    # t3.12-t3.14: n-ary operands with their own samplers, and primed names
     AxiomSchema("t3.12",
                 "e | e' = e'' => e(u1..un) | e'(v1..vn) = "
                 "(u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))",
@@ -401,6 +361,7 @@ ENRICHED_AXIOMS: List[AxiomSchema] = [
                                      data_action(s["e2"], s["vs"])),
                            Deadlock()),
                 sample=_sample_mixed_arity),
+    # t3.15, t3.16: the argument list u1..un does not parse
     AxiomSchema("t3.15", "encap(H, e(u1..un)) = e(u1..un)  if e notin H", "eq",
                 [("e", "const"), ("u", "q"), ("H", "h-e")],
                 lambda s: (Encap(s["H"], data_action(s["e"], (s["u"],))),
@@ -408,6 +369,7 @@ ENRICHED_AXIOMS: List[AxiomSchema] = [
     AxiomSchema("t3.16", "encap(H, e(u1..un)) = delta  if e in H", "eq",
                 [("e", "const"), ("u", "q"), ("H", "h+e")],
                 lambda s: (Encap(s["H"], data_action(s["e"], (s["u"],))), Deadlock())),
+    # isact is a predicate, not an equation
     AxiomSchema("t3.17", "isact(e(u1..un))", "isact",
                 [("e", "const"), ("u", "q")],
                 lambda s: (data_action(s["e"], (s["u"],)), True)),
@@ -415,19 +377,9 @@ ENRICHED_AXIOMS: List[AxiomSchema] = [
 
 
 DERIVED_AXIOMS: List[AxiomSchema] = [
-    AxiomSchema("d.01", "a . x | b = (a | b) . x", "eq",
-                [("a", "lit"), ("b", "lit"), ("x", "p")],
-                lambda s: (CommMerge(Seq(s["a"].term(), s["x"]), s["b"].term()),
-                           Seq(CommMerge(s["a"].term(), s["b"].term()), s["x"]))),
-    AxiomSchema("d.02", "x | (y + z) = x | y + x | z", "eq",
-                [("x", "p"), ("y", "p"), ("z", "p")],
-                lambda s: (CommMerge(s["x"], Alt(s["y"], s["z"])),
-                           Alt(CommMerge(s["x"], s["y"]),
-                               CommMerge(s["x"], s["z"])))),
-    AxiomSchema("d.03", "x | ([u] -> y) = [u] -> (x | y)", "eq",
-                [("u", "q"), ("x", "p"), ("y", "p")],
-                lambda s: (CommMerge(s["x"], Guard(s["u"].literal(), s["y"])),
-                           Guard(s["u"].literal(), CommMerge(s["x"], s["y"])))),
+    _eq("d.01", "a . x | b = (a | b) . x", [("a", "lit"), ("b", "lit"), ("x", "p")]),
+    _eq("d.02", "x | (y + z) = x | y + x | z", [("x", "p"), ("y", "p"), ("z", "p")]),
+    _eq("d.03", "x | ([u] -> y) = [u] -> (x | y)", [("u", "q"), ("x", "p"), ("y", "p")]),
 ]
 
 ACP_AXIOM_IDS = [a.id for a in ACP_AXIOMS]
@@ -490,7 +442,7 @@ def _run_schema(
                 continue
             counterexample = {"instance": pretty_term(schema.build(s)[0])}
         else:
-            lhs, rhs = schema.build(s)
+            lhs, rhs = schema.instance(s)
             ok, nf_lhs, nf_rhs = _check_eq_instance(lhs, rhs, ctx)
             if ok:
                 continue

@@ -13,7 +13,8 @@ Process expressions use ASCII operators: "+" (alternative), "." (sequence),
 "encap(H, P)" (encapsulation) and "[q] -> P" (guarded command, enabled
 when q evaluates to 0).  "+" binds weakest, "." strongest; the three
 parallel operators sit in between and may not be mixed without
-parentheses.  In quantity expressions "p - q" and "p / q" are sugar for
+parentheses.  A guard's body is a factor, so "[q] -> P . Q" is
+"([q] -> P) . Q".  In quantity expressions "p - q" and "p / q" are sugar for
 "p + (-q)" and "p * inv(q)"; numerals become rational literals.
 """
 
@@ -150,7 +151,7 @@ class _Parser:
     def parse_spec(self) -> SpecContext:
         alphabet: set = set()
         comm_pairs = {}
-        meadow = MeadowKind.rationals()
+        meadow, meadow_tok = MeadowKind.rationals(), None
         definitions = {}
         sets = {}
         self.ctx = SpecContext(frozenset(), CommSpec(), meadow, definitions, sets)
@@ -167,13 +168,20 @@ class _Parser:
                 b = self._comm_name(alphabet)
                 self.eat_sym("=")
                 c = self._comm_name(alphabet)
+                old = comm_pairs.get((a, b), comm_pairs.get((b, a)))
+                if old not in (None, c):
+                    self.error(f"communication {a} | {b} already declared as {old!r}", tok)
                 comm_pairs[(a, b)] = c
             elif tok.text == "meadow":
-                meadow = self._meadow_decl()
+                if meadow_tok is not None:
+                    self.error(f"meadow already declared at line {meadow_tok.line}", tok)
+                meadow, meadow_tok = self._meadow_decl(), tok
             elif tok.text == "set":
-                name = self.eat_ident().text
+                name_tok = self.eat_ident()
+                if name_tok.text in sets:
+                    self.error(f"set {name_tok.text!r} already defined", name_tok)
                 self.eat_sym("=")
-                sets[name] = frozenset(self._name_set(alphabet))
+                sets[name_tok.text] = frozenset(self._name_set(alphabet))
             elif tok.text == "proc":
                 name_tok = self.eat_ident()
                 if name_tok.text in definitions:

@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import random
+import re
 
 import pytest
 
@@ -12,7 +14,9 @@ from meadowacp import (
     Action,
     Alt,
     CommSpec,
+    Encap,
     Engine,
+    Guard,
     MeadowKind,
     OracleDisagreement,
     Par,
@@ -22,9 +26,23 @@ from meadowacp import (
     check_derived,
     check_enriched_axioms,
     default_context,
+    free_process_vars,
+    free_quantity_vars,
+    parse_term,
+    pretty_quantity,
+    pretty_term,
 )
 from meadowacp import lts, terms
-from meadowacp.axioms import AxiomSchema, _check_eq_instance, _run_schema
+from meadowacp.axioms import (
+    ACP_AXIOMS,
+    DERIVED_AXIOMS,
+    ENRICHED_AXIOMS,
+    AxiomSchema,
+    TermGen,
+    _check_eq_instance,
+    _run_schema,
+    _std_sample,
+)
 
 # the package's own name normalize is the function
 normalize = importlib.import_module("meadowacp.normalize")
@@ -158,3 +176,76 @@ class TestDualCheck:
         # at seed 0 the first instance of t2.13 with a synchronization is the 26th
         report = check_acp_axioms(ctx, samples=30)
         assert {r.id: r.status for r in report.axioms}["t2.13"] == "fail"
+
+
+ALL_SCHEMAS = ACP_AXIOMS + ENRICHED_AXIOMS + DERIVED_AXIOMS
+PARSED = [sc for sc in ALL_SCHEMAS if sc.build is None]
+
+
+class TestSchemasParsedFromNames:
+    """An equation schema checks the equation its name states: the name is
+    what the report prints, so the two must not drift apart."""
+
+    def test_which_schemas_are_parsed(self):
+        kept_as_code = ["t2.23", "t2.24", "t3.08", "t3.12", "t3.13", "t3.14",
+                        "t3.15", "t3.16", "t3.17"]
+        assert len(PARSED) == 35
+        assert [sc.id for sc in ALL_SCHEMAS if sc.build is not None] == kept_as_code
+
+    @staticmethod
+    def _substituted(side: str, specs, s: dict) -> str:
+        """side with each metavariable replaced by the text of its value;
+        H is left in place, for a context that declares it."""
+        kinds = dict(specs)
+
+        def text(m):
+            name = m.group()
+            kind, v = kinds[name], s[name]
+            if kind == "p":
+                return f"({pretty_term(v)})"
+            if kind == "lit":
+                return f"({pretty_term(v.term())})"
+            if kind == "q":
+                return f"({pretty_quantity(v.literal())})"
+            return v  # an action name
+        return re.sub(r"\b[xyzabeuv]\b", text, side)
+
+    def test_each_instance_is_the_parse_of_its_name(self, ctx):
+        # the textual route: substitute into the name, then parse the text
+        for schema in PARSED:
+            rng = random.Random(schema.id)
+            gen = TermGen(ctx, rng, max_depth=2)
+            for i in range(6):
+                s = _std_sample(schema.specs, i, rng, gen, ctx)
+                inst = SpecContext(ctx.alphabet, ctx.comm, ctx.meadow,
+                                   sets={"H": s.get("H", frozenset())})
+                equation = schema.name.split("  if ")[0]
+                expected = tuple(parse_term(self._substituted(side, schema.specs, s), inst)
+                                 for side in equation.split(" = "))
+                assert schema.instance(s) == expected, (schema.id, i)
+
+    def test_metavariables_are_the_sampled_names(self):
+        for schema in PARSED:
+            names = set()
+            for side in schema.sides:
+                names |= free_process_vars(side) | free_quantity_vars(side)
+                for node in terms.iter_subterms(side):
+                    if isinstance(node, Action):
+                        names.add(node.name)
+                    elif isinstance(node, Encap):
+                        names.add("H")
+            assert names == {nm for nm, _ in schema.specs}, schema.id
+
+    def test_no_parsed_schema_is_a_tautology(self):
+        for schema in PARSED:
+            lhs, rhs = schema.sides
+            assert lhs != rhs, schema.id
+
+    def test_t3_08_guards_the_whole_sequence(self, ctx):
+        # its name's left side would parse as ([u] -> x) . y, its right side
+        (schema,) = [sc for sc in ENRICHED_AXIOMS if sc.id == "t3.08"]
+        u = ctx.meadow.from_int(2)
+        x, y = Action("a"), Seq(Action("b"), Action("c"))
+        lhs, rhs = schema.instance({"u": u, "x": x, "y": y})
+        assert lhs == Guard(u.literal(), Seq(x, y))
+        assert rhs == Seq(Guard(u.literal(), x), y)

@@ -98,6 +98,28 @@ class TestParseSpec:
         with pytest.raises(SpecError):
             parse_spec("act a; set H = {a, z};")
 
+    def test_duplicate_set_rejected(self):
+        # a second set H would otherwise replace the first without a word
+        with pytest.raises(SpecError) as exc:
+            parse_spec("act a, b;\nset H = {a};\nset H = {b};", filename="demo.acpm")
+        assert str(exc.value) == "demo.acpm:3:5: set 'H' already defined"
+
+    def test_second_meadow_rejected(self):
+        with pytest.raises(SpecError) as exc:
+            parse_spec("act a;\nmeadow F 3;\nmeadow Q0;", filename="demo.acpm")
+        assert str(exc.value) == "demo.acpm:3:1: meadow already declared at line 2"
+
+    def test_comm_pair_redeclared_with_another_result_rejected(self):
+        for second in ("comm a | b = d;", "comm b | a = d;"):
+            with pytest.raises(SpecError) as exc:
+                parse_spec(f"act a, b, c, d;\ncomm a | b = c;\n{second}", filename="demo.acpm")
+            assert str(exc.value).startswith("demo.acpm:3:1: communication ")
+            assert str(exc.value).endswith(" already declared as 'c'")
+        # the same result again, in either orientation, changes nothing
+        for second in ("comm a | b = c;", "comm b | a = c;"):
+            ctx = parse_spec(f"act a, b, c, d; comm a | b = c; {second}")
+            assert ctx.comm.gamma("a", "b") == ctx.comm.gamma("b", "a") == "c"
+
 
 class TestParseTerm:
     def test_precedence_alt_weakest_seq_strongest(self, ctx):
@@ -107,6 +129,11 @@ class TestParseTerm:
         assert parse_term("a || b . c", ctx) == Par(a, Seq(b, c))
         assert parse_term("a + b || c", ctx) == Alt(a, Par(b, c))
         assert parse_term("(a + b) . c", ctx) == Seq(Alt(a, b), c)
+
+    def test_guard_body_is_a_factor(self, ctx):
+        a, b = Action("a"), Action("b")
+        assert parse_term("[0] -> a . b", ctx) == Seq(Guard(QZero(), a), b)
+        assert parse_term("[0] -> (a . b)", ctx) == Guard(QZero(), Seq(a, b))
 
     def test_parallel_operators_do_not_mix(self, ctx):
         with pytest.raises(SpecError) as exc:
