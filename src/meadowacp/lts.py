@@ -2,9 +2,10 @@
 
 The LTS of a closed ground term is built by repeatedly taking head normal
 forms; successful termination is a transition into a distinguished
-absorbing Done state.  Bisimilarity is decided by partition refinement and
-never compares normal forms, so it serves as an independent oracle for
-the normalizer.
+absorbing Done state.  Every step makes the term strictly smaller, so the
+LTS is acyclic; bisimilarity is decided in one pass over it (Dovier,
+Piazza & Policriti 2004), which raises ValueError on a cycle, and never
+compares normal forms, so it is an independent oracle for the normalizer.
 """
 
 from __future__ import annotations
@@ -70,46 +71,42 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
 def _short_label(t: ProcessTerm) -> str:
     from .speclang import pretty_term
 
-    try:
-        s = pretty_term(t)
-    except Exception:
-        s = repr(t)
+    s = pretty_term(t)
     return s if len(s) <= 60 else s[:57] + "..."
 
 
 def bisimilar(l1: LTS, l2: LTS) -> bool:
-    """Strong bisimilarity of initial states, by partition refinement on the
-    disjoint union.  Done states (successful termination) start in their own
-    block, so termination capability is distinguished from deadlock."""
-    offset = l1.num_states
-    n = l1.num_states + l2.num_states
-    succ: List[List[Tuple[ActionLiteral, int]]] = [[] for _ in range(n)]
-    for p, a, q in l1.transitions:
-        succ[p].append((a, q))
-    for p, a, q in l2.transitions:
-        succ[p + offset].append((a, q + offset))
-
-    done = set()
-    if l1.done is not None:
-        done.add(l1.done)
-    if l2.done is not None:
-        done.add(l2.done + offset)
-
-    block = [1 if s in done else 0 for s in range(n)]
-    while True:
-        signatures = [
-            (block[s], frozenset((a, block[q]) for a, q in succ[s])) for s in range(n)
-        ]
-        renumber: Dict[tuple, int] = {}
-        new_block = []
-        for sig in signatures:
-            if sig not in renumber:
-                renumber[sig] = len(renumber)
-            new_block.append(renumber[sig])
-        if new_block == block:
-            break
-        block = new_block
-    return block[l1.initial] == block[l2.initial + offset]
+    """Strong bisimilarity of initial states, in one bottom-up pass: on an
+    acyclic LTS a state's class is the set of its (action, successor class)
+    pairs, interned in one table both LTSs share and computed once, after
+    its successors', on an explicit stack.  Done has a class of its own, so
+    termination is distinguished from deadlock."""
+    classes: Dict[frozenset, int] = {}
+    initial = []
+    for lts in (l1, l2):
+        succ: List[List[Tuple[ActionLiteral, int]]] = [[] for _ in range(lts.num_states)]
+        for p, a, q in lts.transitions:
+            succ[p].append((a, q))
+        # a state on the current path has the class None
+        cls: Dict[int, Optional[int]] = {}
+        if lts.done is not None:
+            cls[lts.done] = -1
+        stack = [lts.initial]
+        while stack:
+            s = stack[-1]
+            if s not in cls:
+                cls[s] = None
+                for _, q in succ[s]:
+                    if q in cls and cls[q] is None:
+                        raise ValueError("the LTS has a cycle")
+                    stack.append(q)
+            else:
+                stack.pop()
+                if cls[s] is None:
+                    signature = frozenset((a, cls[q]) for a, q in succ[s])
+                    cls[s] = classes.setdefault(signature, len(classes))
+        initial.append(cls[lts.initial])
+    return initial[0] == initial[1]
 
 
 def to_dot(lts: LTS) -> str:

@@ -158,10 +158,10 @@ class _Parser:
         while not self.cur.kind == "eof":
             tok = self.eat_ident()
             if tok.text == "act":
-                alphabet.add(self.eat_ident().text)
-                while self.at_sym(","):
-                    self.advance()
-                    alphabet.add(self.eat_ident().text)
+                taken = {"a set": sets, "a process": definitions}
+                for name_tok in self._name_list():
+                    self._no_clash(name_tok, "action", taken)
+                    alphabet.add(name_tok.text)
             elif tok.text == "comm":
                 a = self._comm_name(alphabet)
                 self.eat_sym("|")
@@ -180,16 +180,14 @@ class _Parser:
                 name_tok = self.eat_ident()
                 if name_tok.text in sets:
                     self.error(f"set {name_tok.text!r} already defined", name_tok)
+                self._no_clash(name_tok, "set", {"an action": alphabet})
                 self.eat_sym("=")
-                sets[name_tok.text] = frozenset(self._name_set(alphabet))
+                sets[name_tok.text] = frozenset(self._name_set())
             elif tok.text == "proc":
                 name_tok = self.eat_ident()
                 if name_tok.text in definitions:
                     self.error(f"process {name_tok.text!r} already defined", name_tok)
-                if name_tok.text in alphabet:
-                    self.error(
-                        f"process name {name_tok.text!r} clashes with an action", name_tok
-                    )
+                self._no_clash(name_tok, "process", {"an action": alphabet})
                 self.eat_sym("=")
                 self.ctx = SpecContext(
                     frozenset(alphabet), CommSpec.symmetric(comm_pairs), meadow,
@@ -228,12 +226,23 @@ class _Parser:
         except MeadowError as exc:
             self.error(str(exc), tok)
 
-    def _name_set(self, alphabet) -> set:
-        self.eat_sym("{")
-        names = {self.eat_ident().text}
+    def _no_clash(self, tok: Token, kind: str, taken: dict) -> None:
+        """An action shares its name with no set and no process: where both
+        readings parse, the one looked up first would hide the other."""
+        for other, names in taken.items():
+            if tok.text in names:
+                self.error(f"{kind} name {tok.text!r} clashes with {other}", tok)
+
+    def _name_list(self) -> List[Token]:
+        names = [self.eat_ident()]
         while self.at_sym(","):
             self.advance()
-            names.add(self.eat_ident().text)
+            names.append(self.eat_ident())
+        return names
+
+    def _name_set(self) -> set:
+        self.eat_sym("{")
+        names = {tok.text for tok in self._name_list()}
         self.eat_sym("}")
         return names
 
@@ -313,7 +322,7 @@ class _Parser:
 
     def _encap_set(self):
         if self.at_sym("{"):
-            names = self._name_set(self.ctx.alphabet)
+            names = self._name_set()
             extra = names - self.ctx.alphabet
             if extra:
                 self.error(f"encapsulation set mentions unknown actions {sorted(extra)}")

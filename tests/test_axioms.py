@@ -1,5 +1,6 @@
 """Tests for the axiom-suite harness: coverage, determinism, report shape."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -14,6 +15,7 @@ from meadowacp import (
     Action,
     Alt,
     CommSpec,
+    Deadlock,
     Encap,
     Engine,
     Guard,
@@ -32,7 +34,7 @@ from meadowacp import (
     pretty_quantity,
     pretty_term,
 )
-from meadowacp import lts, terms
+from meadowacp import axioms, lts, terms
 from meadowacp.axioms import (
     ACP_AXIOMS,
     DERIVED_AXIOMS,
@@ -160,6 +162,16 @@ class TestDualCheck:
         a = Action("a")
         with pytest.raises(OracleDisagreement):
             _check_eq_instance(Alt(a, a), a, ctx)
+
+    def test_an_oracle_without_done_disagrees_with_the_normal_forms(self, ctx, monkeypatch):
+        # without its Done state, termination looks like deadlock to the oracle
+        real = axioms.build_lts
+        monkeypatch.setattr(
+            axioms, "build_lts", lambda t, ctx: dataclasses.replace(real(t, ctx), done=None)
+        )
+        a = Action("a")
+        with pytest.raises(OracleDisagreement):
+            _check_eq_instance(a, Seq(a, Deadlock()), ctx)
 
     def test_a_wrong_rule_both_routes_share_fails_its_axiom(self, ctx, monkeypatch):
         real = normalize._hnf

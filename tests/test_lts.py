@@ -1,6 +1,9 @@
 """Tests for LTS construction and the bisimulation oracle."""
 
 import random
+import time
+
+import pytest
 
 from meadowacp import (
     LTS,
@@ -90,6 +93,38 @@ class TestBisimilar:
             assert bisimilar(x, y) == bisimilar(y, x)  # symmetric
             if bisimilar(x, y) and bisimilar(y, z):  # transitive
                 assert bisimilar(x, z)
+
+
+def _chain(n: int) -> LTS:
+    """n states in a line, each one step from the next; the last is Done."""
+    step = ActionLiteral("a")
+    return LTS(n, 0, {(i, step, i + 1) for i in range(n - 1)}, done=n - 1)
+
+
+class TestBisimilarOnHandBuiltLts:
+    def test_a_cycle_is_refused(self):
+        step = ActionLiteral("a")
+        for transitions in ({(0, step, 0)}, {(0, step, 1), (1, step, 2), (2, step, 1)}):
+            cyclic = LTS(3, 0, transitions)
+            with pytest.raises(ValueError, match="the LTS has a cycle"):
+                bisimilar(cyclic, _chain(2))
+
+    def test_a_long_chain_is_decided_in_one_pass(self):
+        # a round per level of depth would make this quadratic, and a
+        # recursive walk would raise RecursionError
+        start = time.perf_counter()
+        assert bisimilar(_chain(2000), _chain(2000))
+        assert not bisimilar(_chain(2000), _chain(1999))
+        assert time.perf_counter() - start < 1.0
+
+    def test_an_edge_to_a_lower_numbered_state(self, ctx):
+        # build_lts numbers a state when it is first reached, so a later
+        # state can step to an earlier one; here 2 -> 1
+        lit = {name: ActionLiteral(name) for name in "abc"}
+        lts = LTS(4, 0, {(0, lit["a"], 2), (2, lit["b"], 1), (1, lit["c"], 3)}, done=3)
+        assert bisimilar(lts, build_lts(parse_term("a . b . c", ctx), ctx))
+        assert not bisimilar(lts, build_lts(parse_term("a . c . b", ctx), ctx))
+        assert not bisimilar(lts, build_lts(parse_term("a . b . c . delta", ctx), ctx))
 
 
 class TestDot:

@@ -104,6 +104,22 @@ class TestParseSpec:
             parse_spec("act a, b;\nset H = {a};\nset H = {b};", filename="demo.acpm")
         assert str(exc.value) == "demo.acpm:3:5: set 'H' already defined"
 
+    def test_set_and_action_names_clash_in_either_order(self):
+        # encap(a, P) would read a as the set and hide the action
+        for spec, where in [
+            ("act a, b;\nset a = {b};", "2:5: set name 'a' clashes with an action"),
+            ("act b;\nset a = {b};\nact a;", "3:5: action name 'a' clashes with a set"),
+        ]:
+            with pytest.raises(SpecError) as exc:
+                parse_spec(spec, filename="demo.acpm")
+            assert str(exc.value) == f"demo.acpm:{where}"
+
+    def test_action_declared_after_a_process_of_its_name_rejected(self):
+        # P would otherwise parse as the action and hide the definition
+        with pytest.raises(SpecError) as exc:
+            parse_spec("act a;\nproc P = delta;\nact b, P;", filename="demo.acpm")
+        assert str(exc.value) == "demo.acpm:3:8: action name 'P' clashes with a process"
+
     def test_second_meadow_rejected(self):
         with pytest.raises(SpecError) as exc:
             parse_spec("act a;\nmeadow F 3;\nmeadow Q0;", filename="demo.acpm")
