@@ -65,7 +65,6 @@ from .normalize import (
     GuardChainMismatch,
     Summand,
     equal_terms,
-    is_atomic,
     normal_forms,
     normalize,
 )

@@ -12,35 +12,55 @@ concrete meadows are provided:
 
 Quantity terms are small syntax trees over {0, 1, +, *, -, inv} with
 variables; :func:`eval_quantity` interprets them in a concrete meadow.
+They, the process terms and the normal forms are declared with
+:func:`interned`, so equal terms are one object.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
 from .report import AxiomReport, AxiomResult
 
 
-def cached_hash(cls):
-    """Memoize the dataclass-generated hash per instance.
+_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
 
-    Terms are deeply nested immutable trees used as dict keys in hot
-    paths; recomputing the recursive hash on every lookup dominates
-    runtime otherwise.
+
+def interned(cls):
+    """Declare a syntax node: a frozen dataclass whose constructor returns
+    the live node with the same class and fields, if there is one.
+
+    This is the maximal sharing of the ATerm library (van den Brand et al.,
+    2000): equal nodes are one object, so ``==`` and ``hash`` are identity,
+    constant-time and never recursive.  The table keeps no node alive, and
+    unpickling goes through the constructor, so unpickled nodes are shared.
     """
-    base_hash = cls.__hash__
+    cls = dataclass(frozen=True, eq=False)(cls)
+    init = cls.__init__
+    del cls.__init__  # __new__ initialises a node once, when it is made
+    signature = inspect.signature(init)
+    names = tuple(f.name for f in fields(cls))
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = base_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __new__(klass, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            bound = signature.bind(None, *args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())[1:]
+        key = (klass, *args)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(klass)
+            init(node, *args)
+            _NODES[key] = node
+        return node
 
-    cls.__hash__ = __hash__
+    cls.__new__ = __new__
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
     return cls
 
 
@@ -88,7 +108,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@cached_hash
 @dataclass(frozen=True)
 class MeadowKind:
     """Identifies one of the concrete meadows: the rationals when
@@ -153,7 +172,6 @@ class MeadowKind:
         return f"F{self.modulus}"
 
 
-@cached_hash
 @dataclass(frozen=True)
 class MeadowValue:
     """An element of a concrete meadow, always in canonical form.
@@ -234,54 +252,46 @@ class QuantityTerm:
     __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QZero(QuantityTerm):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QOne(QuantityTerm):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QConst(QuantityTerm):
     """A numeral / rational literal (numerals collapse here at parse time)."""
 
     value: Fraction
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QVar(QuantityTerm):
     name: str
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QAdd(QuantityTerm):
     lhs: QuantityTerm
     rhs: QuantityTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QMul(QuantityTerm):
     lhs: QuantityTerm
     rhs: QuantityTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QNeg(QuantityTerm):
     arg: QuantityTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class QInv(QuantityTerm):
     arg: QuantityTerm
 

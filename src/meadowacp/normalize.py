@@ -9,10 +9,9 @@ what :func:`equal_terms` decides.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from .meadow import MeadowValue, QAdd, QNeg, cached_hash, eval_quantity, memo_attr
+from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned, memo_attr
 from .terms import (
     Action,
     ActionLiteral,
@@ -39,8 +38,7 @@ class GuardChainMismatch(Exception):
     the guard-chain route in a data communication merge."""
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Summand:
     """One alternative of a basic term; continuation None means successful
     termination."""
@@ -57,30 +55,20 @@ class Summand:
         return (self.action.sort_key(), 1, self.continuation.sort_key())
 
     def __str__(self) -> str:
-        if self.continuation is None:
-            return str(self.action)
-        cont = self.continuation
-        inner = str(cont)
-        if len(cont.summands) != 1:
-            inner = f"({inner})"
-        return f"{self.action} . {inner}"
+        return _render(BasicTerm((self,)))
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class BasicTerm:
     """A canonical normal form: sorted, duplicate-free tuple of summands.
-
-    Equality is by value.  Normal forms from one :class:`Engine` share
-    every equal node, so comparing them stops at the first level.
-    """
+    Interned like every term node, so equal normal forms are one object,
+    whichever engine built them."""
 
     summands: Tuple[Summand, ...]
 
     @staticmethod
     def of(summands) -> "BasicTerm":
-        unique = {s: None for s in summands}
-        return BasicTerm(tuple(sorted(unique, key=Summand.sort_key)))
+        return BasicTerm(tuple(sorted(set(summands), key=Summand.sort_key)))
 
     @property
     def is_deadlock(self) -> bool:
@@ -97,9 +85,34 @@ class BasicTerm:
         )
 
     def __str__(self) -> str:
-        if not self.summands:
-            return "delta"
-        return " + ".join(str(s) for s in self.summands)
+        return _render(self)
+
+
+def _render(root: BasicTerm) -> str:
+    """The text of a normal form, on an explicit stack, so deep ones do not
+    exhaust the interpreter's; each distinct node is rendered once."""
+    text: Dict[object, str] = {}
+    stack = [root]
+    while stack:
+        bt = stack[-1]
+        todo = [s.continuation for s in bt.summands
+                if s.continuation is not None and s.continuation not in text]
+        if todo:
+            stack += todo
+            continue
+        stack.pop()
+        if bt in text:  # pushed twice before it was rendered
+            continue
+        for s in bt.summands:
+            if s not in text:
+                cont = s.continuation
+                if cont is None:
+                    text[s] = str(s.action)
+                else:
+                    inner = text[cont] if len(cont.summands) == 1 else f"({text[cont]})"
+                    text[s] = f"{s.action} . {inner}"
+        text[bt] = " + ".join(text[s] for s in bt.summands) or "delta"
+    return text[root]
 
 
 # ---------------------------------------------------------------------------
@@ -238,24 +251,15 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
 
 
 class Engine:
-    """The state of one query: head normal forms, normal forms and the
-    hash-consing table of :class:`Summand` and :class:`BasicTerm` nodes.
-
-    Every node an engine builds is interned, so within one engine equal
-    normal forms are the same object and equality is an identity test.
-    Create one engine per query and let it go with the query: its tables
-    hold every node it built.
-    """
+    """The state of one query: its head normal forms and normal forms.
+    Normal forms are interned like every node, so all engines share them;
+    create one engine per query, as its tables hold every term it met."""
 
     def __init__(self, ctx: SpecContext, debug_guard_chain: bool = False):
         self.ctx = ctx
         self.debug_guard_chain = debug_guard_chain
         self.hnf_cache: dict = {}
         self._nf: dict = {}
-        self._nodes: dict = {}
-
-    def _intern(self, node):
-        return self._nodes.setdefault(node, node)
 
     def normalize(self, t: ProcessTerm) -> BasicTerm:
         """The canonical basic term of a closed, ground term."""
@@ -268,8 +272,8 @@ class Engine:
         summands = []
         for a, k in _hnf(self, t):
             cont = None if k is None else self._normalize(k)
-            summands.append(self._intern(Summand(a, cont)))
-        out = self._intern(BasicTerm.of(summands))
+            summands.append(Summand(a, cont))
+        out = BasicTerm.of(summands)
         self._nf[t] = out
         return out
 
@@ -294,8 +298,3 @@ def equal_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
     """Decide equality of two closed ground terms via canonical forms."""
     nf1, nf2 = normal_forms((t1, t2), ctx)
     return nf1 is nf2
-
-
-def is_atomic(t: ProcessTerm, ctx: SpecContext) -> bool:
-    """Least atomic-action predicate on the normal form of t."""
-    return normalize(t, ctx).is_atomic

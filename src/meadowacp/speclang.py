@@ -327,11 +327,12 @@ class _Parser:
             if extra:
                 self.error(f"encapsulation set mentions unknown actions {sorted(extra)}")
             return frozenset(names)
+        # an action before a set, as _parse_pfac reads an action before a process
         tok = self.eat_ident()
-        if tok.text in self.ctx.sets:
-            return self.ctx.sets[tok.text]
         if tok.text in self.ctx.alphabet:
             return frozenset({tok.text})
+        if tok.text in self.ctx.sets:
+            return self.ctx.sets[tok.text]
         self.error(f"unknown set or action {tok.text!r}", tok)
 
     # -- quantity expressions ----------------------------------------------

@@ -1,23 +1,24 @@
 """Process-term syntax over the two-sorted, data-enriched process signature.
 
-Terms are immutable trees.  Atomic actions may carry a tuple of quantity
-terms (data-handling actions); a plain named action is the 0-ary case.
-Parallel composition comes in three flavours: full merge, left merge
-(first step from the left operand) and communication merge (synchronized
-first step, mediated by the communication function gamma).
+Terms are immutable and interned (:func:`meadow.interned`): equal terms are
+one object.  Atomic actions may carry a tuple of quantity terms
+(data-handling actions); a plain named action is the 0-ary case.  Parallel
+composition comes in three flavours: full merge, left merge (first step from
+the left operand) and communication merge (synchronized first step, mediated
+by the communication function gamma).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .meadow import (
     MeadowKind,
     MeadowValue,
     QuantityTerm,
-    cached_hash,
     free_quantity_vars_q,
+    interned,
     memo_attr,
 )
 
@@ -34,76 +35,65 @@ class ProcessTerm:
     __slots__ = ()
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Deadlock(ProcessTerm):
     pass
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Action(ProcessTerm):
     name: str
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class DataAction(ProcessTerm):
     name: str
     args: Tuple[QuantityTerm, ...]
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Alt(ProcessTerm):
     lhs: ProcessTerm
     rhs: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Seq(ProcessTerm):
     lhs: ProcessTerm
     rhs: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Par(ProcessTerm):
     lhs: ProcessTerm
     rhs: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class LeftMerge(ProcessTerm):
     lhs: ProcessTerm
     rhs: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class CommMerge(ProcessTerm):
     lhs: ProcessTerm
     rhs: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Encap(ProcessTerm):
     hide: FrozenSet[str]
     body: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class Guard(ProcessTerm):
     cond: QuantityTerm
     body: ProcessTerm
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class ProcVar(ProcessTerm):
     name: str
 
@@ -113,8 +103,7 @@ def data_action(name: str, values: Sequence[MeadowValue]) -> DataAction:
     return DataAction(name, tuple(v.literal() for v in values))
 
 
-@cached_hash
-@dataclass(frozen=True)
+@interned
 class ActionLiteral:
     """A ground atomic action: a name plus evaluated data arguments."""
 
@@ -261,15 +250,15 @@ def free_quantity_vars(t: ProcessTerm) -> FrozenSet[str]:
 
 
 def _map_children(t: ProcessTerm, f) -> ProcessTerm:
-    """t with f applied to its children; t itself if f changes none."""
+    """t with f applied to its children; t itself (interned) if f changes none."""
     if isinstance(t, (Deadlock, Action, DataAction, ProcVar)):
         return t
     if isinstance(t, _BINARY):
-        lhs, rhs = f(t.lhs), f(t.rhs)
-        return t if lhs is t.lhs and rhs is t.rhs else type(t)(lhs, rhs)
-    if isinstance(t, (Encap, Guard)):
-        body = f(t.body)
-        return t if body is t.body else replace(t, body=body)
+        return type(t)(f(t.lhs), f(t.rhs))
+    if isinstance(t, Encap):
+        return Encap(t.hide, f(t.body))
+    if isinstance(t, Guard):
+        return Guard(t.cond, f(t.body))
     raise TypeError(f"not a process term: {t!r}")
 
 

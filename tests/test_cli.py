@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import meadowacp
-from meadowacp import Engine
+from meadowacp import BasicTerm, axioms
 from meadowacp.cli import main
 
 
@@ -52,6 +52,17 @@ class TestNormalize:
                 assert out == ""
                 assert err.startswith("error: term nested too deeply")
 
+    def test_a_900_action_sequence(self, tmp_path, capsys):
+        # a spec without definitions: inlining them still recurses
+        spec = tmp_path / "f3.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
+        term = " . ".join(["a"] * 900)
+        assert main(["normalize", "--spec", str(spec), term]) == 0
+        assert capsys.readouterr().out == term + "\n"
+        assert main(["equiv", "--spec", str(spec), term, term]) == 0
+        out = capsys.readouterr().out
+        assert out == f"equivalent\n  {term}  ~>  {term}\n  {term}  ~>  {term}\n"
+
 
 class TestEquiv:
     def test_equivalent_exits_0(self, sample_spec_path, capsys):
@@ -74,7 +85,10 @@ class TestEquiv:
 
 
     def test_disagreement_of_the_routes_exits_2(self, sample_spec_path, capsys, monkeypatch):
-        monkeypatch.setattr(Engine, "_intern", lambda self, node: node)
+        # a normal-form route that loses every summand of the left side
+        real = axioms.normal_forms
+        lossy = lambda ts, ctx: (BasicTerm(()), real(ts, ctx)[1])
+        monkeypatch.setattr(axioms, "normal_forms", lossy)
         assert main(["equiv", "--spec", sample_spec_path, "a + a", "a"]) == 2
         out, err = capsys.readouterr()
         assert out == ""

@@ -27,9 +27,9 @@ from meadowacp import (
     QZero,
     Seq,
     TermGen,
+    build_lts,
     default_context,
     equal_terms,
-    is_atomic,
     normal_forms,
     normalize,
     parse_term,
@@ -135,20 +135,20 @@ class TestEqualTerms:
 
 class TestIsAtomic:
     def test_atoms(self, ctx):
-        assert is_atomic(a, ctx)
-        assert is_atomic(DataAction("b", (QConst(Fraction(2)),)), ctx)
+        assert normalize(a, ctx).is_atomic
+        assert normalize(DataAction("b", (QConst(Fraction(2)),)), ctx).is_atomic
 
     def test_non_atoms(self, ctx):
-        assert not is_atomic(Deadlock(), ctx)
-        assert not is_atomic(Seq(a, b), ctx)
-        assert not is_atomic(Alt(a, b), ctx)
+        assert not normalize(Deadlock(), ctx).is_atomic
+        assert not normalize(Seq(a, b), ctx).is_atomic
+        assert not normalize(Alt(a, b), ctx).is_atomic
 
     def test_comm_merge_of_atoms_is_atomic_when_defined(self, ctx):
-        assert is_atomic(CommMerge(a, b), ctx)  # synchronizes into c
-        assert not is_atomic(CommMerge(a, c), ctx)  # gamma undefined: delta
+        assert normalize(CommMerge(a, b), ctx).is_atomic  # synchronizes into c
+        assert not normalize(CommMerge(a, c), ctx).is_atomic  # gamma undefined: delta
 
     def test_collapsing_alternative_is_atomic(self, ctx):
-        assert is_atomic(Alt(a, a), ctx)
+        assert normalize(Alt(a, a), ctx).is_atomic
 
 
 class TestGuardAlgebra:
@@ -223,11 +223,10 @@ class TestHashConsing:
         assert engine1 is engine2
         assert nf1 is nf2
 
-    def test_equality_across_engines_is_by_value(self, ctx):
+    def test_normal_forms_of_two_live_queries_are_one_object(self, ctx):
         t = Par(Alt(a, b), c)
         nf1, nf2 = normalize(t, ctx), normalize(t, ctx)
-        assert nf1 is not nf2
-        assert nf1 == nf2 and hash(nf1) == hash(nf2)
+        assert nf1 is nf2
 
     def test_no_table_outlives_its_query(self, ctx):
         t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
@@ -236,6 +235,19 @@ class TestHashConsing:
         refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(pair[0].summands[0])]
         del nf, pair
         assert all(ref() is None for ref in refs)
+
+
+class TestDeepTerms:
+    def test_a_parsed_900_action_sequence(self, ctx):
+        # hashing and == never recurse, and a normal form renders on a stack
+        src = " . ".join(["a"] * 900)
+        t = parse_term(src, ctx)
+        nf = normalize(t, ctx)
+        assert str(nf) == src
+        lts = build_lts(t, ctx)
+        assert (lts.num_states, len(lts.transitions)) == (901, 900)
+        assert equal_terms(t, parse_term(src, ctx), ctx)
+        assert not equal_terms(t, parse_term(src + " . b", ctx), ctx)
 
 
 class TestMergeRule:

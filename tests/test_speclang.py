@@ -25,9 +25,11 @@ from meadowacp import (
     QVar,
     QZero,
     Seq,
+    SpecContext,
     SpecError,
     TermGen,
     default_context,
+    equal_terms,
     parse_spec,
     parse_term,
     pretty_term,
@@ -113,6 +115,13 @@ class TestParseSpec:
             with pytest.raises(SpecError) as exc:
                 parse_spec(spec, filename="demo.acpm")
             assert str(exc.value) == f"demo.acpm:{where}"
+
+    def test_encap_reads_a_name_as_an_action_before_a_set(self):
+        # a context built in Python escapes the clash check of parse_spec
+        ctx = SpecContext(frozenset({"a", "b"}), sets={"a": frozenset({"b"})})
+        t = parse_term("encap(a, a)", ctx)
+        assert t is Encap(frozenset({"a"}), Action("a"))
+        assert equal_terms(t, Deadlock(), ctx)
 
     def test_action_declared_after_a_process_of_its_name_rejected(self):
         # P would otherwise parse as the action and hide the definition

@@ -1,24 +1,43 @@
 """Tests for the process-term syntax layer and communication functions."""
 
+import dataclasses
+import gc
+import pickle
+import weakref
+from fractions import Fraction
+
 import pytest
 
 from meadowacp import (
     Action,
+    ActionLiteral,
     Alt,
+    BasicTerm,
+    CommMerge,
     CommSpec,
     DataAction,
     Deadlock,
     Encap,
     Guard,
+    LeftMerge,
     MeadowKind,
     OpenTerm,
     Par,
     ProcVar,
     ProcessError,
+    ProcessTerm,
+    QAdd,
+    QConst,
+    QInv,
+    QMul,
+    QNeg,
+    QOne,
+    QuantityTerm,
     QVar,
     QZero,
     Seq,
     SpecContext,
+    Summand,
     build_lts,
     closed_ground_term,
     free_process_vars,
@@ -27,7 +46,7 @@ from meadowacp import (
     normalize,
     validate_comm_spec,
 )
-from meadowacp import terms
+from meadowacp import meadow, terms
 from meadowacp.terms import iter_subterms
 
 
@@ -199,3 +218,59 @@ class TestContextDefaults:
         ctx = SpecContext(alphabet=frozenset({"a"}))
         assert ctx.meadow == MeadowKind.rationals()
         assert ctx.comm.gamma("a", "a") is None
+
+
+def _one_node_of_each_class():
+    """A fresh node of each of the 22 syntax classes, from fresh fields."""
+    a, q = Action("a"), QVar("u")
+    lit = ActionLiteral("a", (MeadowKind.prime_field(3).from_int(2),))
+    summand = Summand(lit, BasicTerm((Summand(ActionLiteral("b")),)))
+    return [
+        Deadlock(), a, DataAction("b", (QConst(Fraction(2)), q)), Alt(a, Deadlock()),
+        Seq(a, a), Par(a, ProcVar("P")), LeftMerge(a, a), CommMerge(a, a),
+        Encap(frozenset({"a"}), a), Guard(q, a), ProcVar("P"),
+        QZero(), QOne(), QConst(Fraction(1, 3)), q, QAdd(q, QOne()), QMul(q, q),
+        QNeg(q), QInv(q), lit, summand, BasicTerm((summand,)),
+    ]
+
+
+class TestInterning:
+    def test_equal_fields_give_the_same_node_in_every_class(self):
+        first, second = _one_node_of_each_class(), _one_node_of_each_class()
+        classes = {type(node) for node in first}
+        syntax = set(ProcessTerm.__subclasses__()) | set(QuantityTerm.__subclasses__())
+        assert classes == syntax | {ActionLiteral, Summand, BasicTerm}
+        assert len(classes) == 22
+        for x, y in zip(first, second):
+            assert x is y
+            assert x == y and hash(x) == hash(y)
+        assert Seq(Action("a"), Action("b")) != Seq(Action("b"), Action("a"))
+
+    def test_unpickled_nodes_are_the_live_ones(self):
+        nodes = _one_node_of_each_class()
+        for node in nodes:
+            assert pickle.loads(pickle.dumps(node)) is node
+        assert pickle.loads(pickle.dumps(nodes)) == nodes
+
+    def test_keywords_and_replace_intern_or_raise(self):
+        a, b = Action("a"), Action("b")
+        assert Seq(lhs=a, rhs=b) is Seq(a, rhs=b) is Seq(a, b)
+        assert dataclasses.replace(Seq(a, b), rhs=a) is Seq(a, a)
+        assert dataclasses.replace(Guard(QZero(), a), body=b) is Guard(QZero(), b)
+        assert ActionLiteral("a") is ActionLiteral("a", ()) is ActionLiteral(name="a")
+        assert Summand(ActionLiteral("a")) is Summand(ActionLiteral("a"), None)
+        for bad in (lambda: Seq(a), lambda: Seq(a, b, a), lambda: Seq(a, lhs=b)):
+            with pytest.raises(TypeError):
+                bad()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Seq(a, b).lhs = b
+
+    def test_the_table_keeps_no_node_alive(self):
+        gc.collect()
+        before = len(meadow._NODES)
+        t = _chain(9_998, Action("b"))  # 10 000 distinct nodes
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+        assert len(meadow._NODES) <= before
