@@ -68,10 +68,11 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     )
 
 
-def _short_label(t: ProcessTerm) -> str:
-    from .speclang import pretty_term
+def _short_label(t: ProcessTerm, memo: dict) -> str:
+    """pretty_term(t), cut to 60 characters; memo as in pretty_prefix."""
+    from .speclang import pretty_prefix
 
-    s = pretty_term(t)
+    s = pretty_prefix(t, 61, memo)
     return s if len(s) <= 60 else s[:57] + "..."
 
 
@@ -112,6 +113,7 @@ def bisimilar(l1: LTS, l2: LTS) -> bool:
 def to_dot(lts: LTS) -> str:
     """Graphviz rendering; the Done state is double-circled."""
     lines = ["digraph lts {", "  rankdir=LR;"]
+    labels: dict = {}  # the memo of _short_label, shared by the states
     for s in range(lts.num_states):
         shape = "doublecircle" if s == lts.done else "circle"
         if s >= len(lts.terms):
@@ -119,7 +121,7 @@ def to_dot(lts: LTS) -> str:
         elif lts.terms[s] is None:
             label = "done"
         else:
-            label = _short_label(lts.terms[s])
+            label = _short_label(lts.terms[s], labels)
         label = label.replace('"', '\\"')
         lines.append(f'  n{s} [shape={shape}, label="{label}"];')
     for p, a, q in sorted(

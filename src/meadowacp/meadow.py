@@ -13,7 +13,9 @@ concrete meadows are provided:
 Quantity terms are small syntax trees over {0, 1, +, *, -, inv} with
 variables; :func:`eval_quantity` interprets them in a concrete meadow.
 They, the process terms and the normal forms are declared with
-:func:`interned`, so equal terms are one object.
+:func:`interned`, so equal terms are one object: one dict maps each node's
+class and fields to a slotted weak reference to it, and the reference's
+callback removes the entry when the node dies, unless a new node holds it.
 """
 
 from __future__ import annotations
@@ -21,14 +23,28 @@ from __future__ import annotations
 import inspect
 import random
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
 from .report import AxiomReport, AxiomResult
 
 
-_NODES = weakref.WeakValueDictionary()  # (class, *fields) -> the live node
+_NODES = {}  # (class, *fields) -> a _Ref to the live node
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's key in _NODES."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref, nodes=_NODES):
+    """Drop a dead node's entry, unless a new node has taken its key.  The
+    table is a default argument, so the callbacks that run at interpreter
+    shutdown still find it."""
+    if nodes.get(ref.key) is ref:
+        del nodes[ref.key]
 
 
 def interned(cls):
@@ -37,26 +53,41 @@ def interned(cls):
 
     This is the maximal sharing of the ATerm library (van den Brand et al.,
     2000): equal nodes are one object, so ``==`` and ``hash`` are identity,
-    constant-time and never recursive.  The table keeps no node alive, and
-    unpickling goes through the constructor, so unpickled nodes are shared.
+    constant-time and never recursive.  The table is a plain dict of slotted
+    weak references, so it keeps no node alive, and a hit costs one lookup
+    and one call of the reference; each reference's callback removes its
+    entry when its node dies.  Unpickling goes through the constructor, so
+    unpickled nodes are shared.
     """
     cls = dataclass(frozen=True, eq=False)(cls)
     init = cls.__init__
     del cls.__init__  # __new__ initialises a node once, when it is made
     signature = inspect.signature(init)
     names = tuple(f.name for f in fields(cls))
+    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
+    arity = len(names)
+    required = arity - len(defaults)
+    get = _NODES.get
 
     def __new__(klass, *args, **kwargs):
-        if kwargs or len(args) != len(names):
-            bound = signature.bind(None, *args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())[1:]
+        if kwargs or len(args) != arity:
+            if not kwargs and required <= len(args) < arity:
+                args += defaults[len(args) - required:]
+            else:  # keywords, or the TypeError of a wrong arity
+                bound = signature.bind(None, *args, **kwargs)
+                bound.apply_defaults()
+                args = tuple(bound.arguments.values())[1:]
         key = (klass, *args)
-        node = _NODES.get(key)
-        if node is None:
-            node = object.__new__(klass)
-            init(node, *args)
-            _NODES[key] = node
+        ref = get(key)
+        if ref is not None:
+            node = ref()
+            if node is not None:
+                return node
+        node = object.__new__(klass)
+        init(node, *args)
+        ref = _Ref(node, _forget)
+        ref.key = key
+        _NODES[key] = ref
         return node
 
     cls.__new__ = __new__

@@ -404,33 +404,70 @@ _PAR_SYMBOL = {Par: "||", LeftMerge: "|_", CommMerge: "|"}
 # levels: 0 alternative, 1 parallel, 2 sequential, 3 factor
 
 
-def pretty_term(t: ProcessTerm) -> str:
-    return _pp(t, 0)
-
-
-def _pp(t: ProcessTerm, level: int) -> str:
+def _layout(t: ProcessTerm, level: int) -> tuple:
+    """How t prints at a level: its text in order, as strings and the
+    (subterm, level) pairs that print in their place."""
     if isinstance(t, Deadlock):
-        return "delta"
-    if isinstance(t, Action):
-        return t.name
-    if isinstance(t, ProcVar):
-        return t.name
+        return ("delta",)
+    if isinstance(t, (Action, ProcVar)):
+        return (t.name,)
     if isinstance(t, DataAction):
-        return f"{t.name}({', '.join(pretty_quantity(q) for q in t.args)})"
-    if isinstance(t, Alt):
-        s = f"{_pp(t.lhs, 0)} + {_pp(t.rhs, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(t, (Par, LeftMerge, CommMerge)):
-        op = _PAR_SYMBOL[type(t)]
-        lhs = _pp(t.lhs, 1) if isinstance(t.lhs, type(t)) else _pp(t.lhs, 2)
-        s = f"{lhs} {op} {_pp(t.rhs, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(t, Seq):
-        s = f"{_pp(t.lhs, 2)} . {_pp(t.rhs, 3)}"
-        return f"({s})" if level > 2 else s
+        return (f"{t.name}({', '.join(pretty_quantity(q) for q in t.args)})",)
     if isinstance(t, Guard):
-        return f"[{pretty_quantity(t.cond)}] -> {_pp(t.body, 3)}"
+        return (f"[{pretty_quantity(t.cond)}] -> ", (t.body, 3))
     if isinstance(t, Encap):
-        hide = ", ".join(sorted(t.hide))
-        return f"encap({{{hide}}}, {_pp(t.body, 0)})"
-    raise TypeError(f"not a process term: {t!r}")
+        return (f"encap({{{', '.join(sorted(t.hide))}}}, ", (t.body, 0), ")")
+    if isinstance(t, Alt):
+        parts, bracket = ((t.lhs, 0), " + ", (t.rhs, 1)), level > 0
+    elif isinstance(t, Seq):
+        parts, bracket = ((t.lhs, 2), " . ", (t.rhs, 3)), level > 2
+    elif isinstance(t, (Par, LeftMerge, CommMerge)):
+        lhs = (t.lhs, 1 if isinstance(t.lhs, type(t)) else 2)
+        parts, bracket = (lhs, f" {_PAR_SYMBOL[type(t)]} ", (t.rhs, 2)), level > 1
+    else:
+        raise TypeError(f"not a process term: {t!r}")
+    return ("(", *parts, ")") if bracket else parts
+
+
+def pretty_term(t: ProcessTerm) -> str:
+    """The text of t, produced as pieces from an explicit stack, so deep
+    terms do not exhaust the interpreter's."""
+    pieces = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        else:
+            stack.extend(reversed(_layout(*item)))
+    return "".join(pieces)
+
+
+def pretty_prefix(t: ProcessTerm, limit: int, memo: dict) -> str:
+    """pretty_term(t)[:limit], without rendering the rest.
+
+    ``memo`` maps (subterm, level) to the same cut of the subterm's text.
+    Callers that cut many terms to one limit share it, so that each
+    distinct subterm is rendered once: the states of an LTS share most of
+    their subterms.  A post-order on an explicit stack that renders a
+    subterm only while the text before it is shorter than the limit.
+    """
+    stack = [(t, 0)]
+    while stack:
+        key = stack[-1]
+        text, missing = "", None
+        for part in _layout(*key):
+            if not isinstance(part, str):
+                if part not in memo:
+                    missing = part
+                    break
+                part = memo[part]
+            text += part
+            if len(text) >= limit:
+                break
+        if missing is None:
+            memo[key] = text[:limit]
+            stack.pop()
+        else:
+            stack.append(missing)
+    return memo[(t, 0)]

@@ -269,20 +269,40 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     variable, as in the axiom schemas.  Returns t itself when there is
     nothing to inline.  Definitions that refer to themselves, directly or
     through others, raise a ProcessError naming the cycle.
+
+    The walk is a post-order on an explicit stack, so deep terms do not
+    exhaust the interpreter's.  Nodes are interned, so each distinct node is
+    inlined once per call; a node inlined without error reaches no cycle,
+    so its result does not depend on the definitions being expanded.
     """
     defs = ctx.definitions
     if not defs:
         return t
-
-    def inline(t: ProcessTerm, path: Tuple[str, ...]) -> ProcessTerm:
-        if isinstance(t, ProcVar) and t.name in defs:
-            if t.name in path:
-                cycle = path[path.index(t.name):] + (t.name,)
-                raise ProcessError("cyclic definitions: " + " -> ".join(cycle))
-            return inline(defs[t.name], path + (t.name,))
-        return _map_children(t, lambda s: inline(s, path))
-
-    return inline(t, ())
+    done: Dict[ProcessTerm, ProcessTerm] = {}
+    path: List[str] = []  # the definitions being expanded, outermost first
+    stack: List[Tuple[ProcessTerm, bool]] = [(t, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            if isinstance(node, ProcVar) and node.name in defs:
+                path.pop()
+                done[node] = done[defs[node.name]]
+            else:
+                done[node] = _map_children(node, done.__getitem__)
+        elif node not in done:
+            stack.append((node, True))
+            if isinstance(node, ProcVar) and node.name in defs:
+                if node.name in path:
+                    cycle = path[path.index(node.name):] + [node.name]
+                    raise ProcessError("cyclic definitions: " + " -> ".join(cycle))
+                path.append(node.name)
+                stack.append((defs[node.name], False))
+            elif isinstance(node, _BINARY):
+                stack.append((node.rhs, False))
+                stack.append((node.lhs, False))
+            elif isinstance(node, (Encap, Guard)):
+                stack.append((node.body, False))
+    return done[t]
 
 
 def closed_ground_term(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:

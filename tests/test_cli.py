@@ -53,7 +53,6 @@ class TestNormalize:
                 assert err.startswith("error: term nested too deeply")
 
     def test_a_900_action_sequence(self, tmp_path, capsys):
-        # a spec without definitions: inlining them still recurses
         spec = tmp_path / "f3.acpm"
         spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
         term = " . ".join(["a"] * 900)
@@ -62,6 +61,19 @@ class TestNormalize:
         assert main(["equiv", "--spec", str(spec), term, term]) == 0
         out = capsys.readouterr().out
         assert out == f"equivalent\n  {term}  ~>  {term}\n  {term}  ~>  {term}\n"
+
+    def test_a_900_action_sequence_in_a_spec_with_a_definition(self, tmp_path, capsys):
+        # inlining definitions walks the term on a stack of its own
+        spec = tmp_path / "f3.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\nproc P = a . b;\n")
+        term = " . ".join(["a"] * 900)
+        assert main(["normalize", "--spec", str(spec), term]) == 0
+        assert capsys.readouterr().out == term + "\n"
+        assert main(["equiv", "--spec", str(spec), term, term]) == 0
+        out = capsys.readouterr().out
+        assert out == f"equivalent\n  {term}  ~>  {term}\n  {term}  ~>  {term}\n"
+        assert main(["equiv", "--spec", str(spec), f"{term} . P", f"{term} . a . b"]) == 0
+        assert capsys.readouterr().out.startswith("equivalent\n")
 
 
 class TestEquiv:

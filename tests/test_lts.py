@@ -164,11 +164,46 @@ class TestDot:
         t = parse_term("a . b || b . c", ctx)
         calls = []
 
-        def refuse(term):
+        def refuse(term, *args):
             calls.append(term)
             raise AssertionError("pretty_term called")
 
         monkeypatch.setattr(speclang, "pretty_term", refuse)
+        monkeypatch.setattr(speclang, "pretty_prefix", refuse)
         lts = build_lts(t, ctx)
         assert bisimilar(lts, build_lts(t, ctx))
         assert calls == []
+
+    def test_labels_are_pretty_term_cut_to_60_characters(self, ctx):
+        rng = random.Random(7)
+        gen = TermGen(ctx, rng, max_depth=4)
+        terms = [gen.term() for _ in range(150)]
+        terms += [parse_term(" . ".join(["a", "b(1)", "c"] * 30), ctx),
+                  parse_term("encap({a}, " + " || ".join(["a . b"] * 8) + ")", ctx)]
+        long_labels = 0
+        for t in terms:
+            lts = build_lts(t, ctx)
+            lines = to_dot(lts).split("\n")
+            for s, term in enumerate(lts.terms):
+                if term is None:
+                    continue
+                text = speclang.pretty_term(term)
+                label = text if len(text) <= 60 else text[:57] + "..."
+                long_labels += len(text) > 60
+                shape = "doublecircle" if s == lts.done else "circle"
+                assert lines[2 + s] == f'  n{s} [shape={shape}, label="{label}"];'
+        assert long_labels > 100
+
+    def test_labels_of_a_long_sequence_cost_linear_time(self, ctx):
+        # each state's label renders only its first 60 characters, and the
+        # states share their subterms
+        def dot_time(n):
+            lts = build_lts(parse_term(" . ".join(["a"] * n), ctx), ctx)
+            best = float("inf")
+            for _ in range(5):
+                start = time.perf_counter()
+                to_dot(lts)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        assert dot_time(900) < 3 * dot_time(450)

@@ -217,3 +217,7 @@ class TestRoundTrip:
         assert pretty_term(parse_term("a + b . c", ctx)) == "a + b . c"
         assert pretty_term(parse_term("(a + b) . c", ctx)) == "(a + b) . c"
         assert pretty_term(parse_term("[0] -> a(2)", ctx)) == "[0] -> a(2)"
+
+    def test_a_5000_action_sequence_renders(self, ctx):
+        src = " . ".join(["a", "b(1)"] * 2500)
+        assert pretty_term(parse_term(src, ctx)) == src

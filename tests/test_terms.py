@@ -2,9 +2,13 @@
 
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +278,52 @@ class TestInterning:
         gc.collect()
         assert ref() is None
         assert len(meadow._NODES) <= before
+
+    def test_a_wrong_arity_raises_with_or_without_defaults(self):
+        for bad in (lambda: ActionLiteral(), lambda: ActionLiteral("a", (), 1),
+                    lambda: Summand(), lambda: Deadlock(Action("a"))):
+            with pytest.raises(TypeError):
+                bad()
+
+    def test_an_entry_goes_with_its_node_without_a_collection(self):
+        t = Seq(Action("interning-x"), Action("interning-y"))
+        key = (Seq, t.lhs, t.rhs)
+        assert meadow._NODES[key]() is t
+        del t
+        assert key not in meadow._NODES
+
+    def test_a_node_made_again_after_its_death_is_interned_again(self):
+        t = Par(Action("interning-z"), Deadlock())
+        dead = weakref.ref(t)
+        del t
+        assert dead() is None
+        again = Par(Action("interning-z"), Deadlock())
+        assert again is Par(Action("interning-z"), Deadlock())
+        assert meadow._NODES[(Par, Action("interning-z"), Deadlock())]() is again
+
+    def test_a_late_callback_keeps_the_entry_of_a_new_node(self):
+        # a callback of a dead node's reference may run after a new node
+        # took the key, for example when a collection clears a cycle
+        t = Action("interning-w")
+        key = (Action, "interning-w")
+        stale = meadow._Ref(Deadlock())
+        stale.key = key
+        meadow._forget(stale)
+        assert meadow._NODES[key]() is t
+
+    def test_exit_with_live_and_dropped_nodes_prints_nothing(self):
+        # the table's callbacks run at interpreter shutdown too
+        # (a gated definition and its context form a cycle)
+        script = (
+            "from meadowacp import Action, Seq, normalize, parse_spec, parse_term\n"
+            "ctx = parse_spec('act a, b;\\nproc P = a . b;\\nproc Q = P . a;\\n')\n"
+            "for src in ('P', 'Q', 'P . Q', 'a . b || b'):\n"
+            "    normalize(parse_term(src, ctx), ctx)\n"
+            "kept = [Seq(Action(f'k{i}'), Action('a')) for i in range(200)]\n"
+        )
+        src = str(Path(meadow.__file__).parent.parent)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, check=True,
+        )
+        assert run.stderr == ""
