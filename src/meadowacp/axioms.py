@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .lts import bisimilar, build_lts
+from .lts import bisimilar_terms
 from .meadow import (
     MeadowKind,
     MeadowValue,
@@ -397,7 +397,7 @@ def _check_eq_instance(
     """The verdict on lhs = rhs, with both normal forms."""
     nf_lhs, nf_rhs = normal_forms((lhs, rhs), ctx)
     by_normal_form = nf_lhs is nf_rhs
-    by_oracle = bisimilar(build_lts(lhs, ctx), build_lts(rhs, ctx))
+    by_oracle = bisimilar_terms(lhs, rhs, ctx)
     if by_normal_form != by_oracle:
         raise OracleDisagreement(
             f"normal forms say {by_normal_form}, bisimulation says {by_oracle} "
@@ -443,7 +443,11 @@ def _run_schema(
             counterexample = {"instance": pretty_term(schema.build(s)[0])}
         else:
             lhs, rhs = schema.instance(s)
-            ok, nf_lhs, nf_rhs = _check_eq_instance(lhs, rhs, ctx)
+            try:
+                ok, nf_lhs, nf_rhs = _check_eq_instance(lhs, rhs, ctx)
+            except OracleDisagreement as exc:
+                # name the instance, so that it can be rerun
+                raise OracleDisagreement(f"{schema.id}, sample {i}, seed {seed}: {exc}") from exc
             if ok:
                 continue
             counterexample = {

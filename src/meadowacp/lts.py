@@ -6,6 +6,8 @@ absorbing Done state.  Every step makes the term strictly smaller, so the
 LTS is acyclic; bisimilarity is decided in one pass over it (Dovier,
 Piazza & Policriti 2004), which raises ValueError on a cycle, and never
 compares normal forms, so it is an independent oracle for the normalizer.
+The oracle's verdict on two terms takes the same pass over the terms
+reachable from either, and builds no LTS.
 """
 
 from __future__ import annotations
@@ -76,38 +78,62 @@ def _short_label(t: ProcessTerm, memo: dict) -> str:
     return s if len(s) <= 60 else s[:57] + "..."
 
 
+def _classes(roots, steps, cls: dict, classes: Dict[frozenset, int]) -> list:
+    """The bisimulation classes of roots, in one bottom-up pass (Dovier,
+    Piazza & Policriti 2004): on an acyclic state space a state's class is
+    the set of its (action, successor class) pairs, interned in ``classes``
+    and computed once, after its successors', on an explicit stack.
+
+    ``steps(s)`` is the collection of (action, successor) pairs of state s;
+    it is called once per state and read twice.  ``cls`` maps each finished state to its class;
+    seed it with Done's class -1, so that termination is distinguished from
+    deadlock.  A state on the current path has the class None, so a step
+    back to it is a cycle and raises ValueError."""
+    for root in roots:
+        # (state, None) visits a state; (state, its steps) finishes it
+        stack = [(root, None)]
+        while stack:
+            s, edges = stack.pop()
+            if edges is not None:
+                signature = frozenset((a, cls[q]) for a, q in edges)
+                cls[s] = classes.setdefault(signature, len(classes))
+            elif s not in cls:
+                cls[s] = None
+                edges = steps(s)
+                stack.append((s, edges))
+                for _, q in edges:
+                    if q not in cls:
+                        stack.append((q, None))
+                    elif cls[q] is None:
+                        raise ValueError("the LTS has a cycle")
+    return [cls[root] for root in roots]
+
+
 def bisimilar(l1: LTS, l2: LTS) -> bool:
-    """Strong bisimilarity of initial states, in one bottom-up pass: on an
-    acyclic LTS a state's class is the set of its (action, successor class)
-    pairs, interned in one table both LTSs share and computed once, after
-    its successors', on an explicit stack.  Done has a class of its own, so
-    termination is distinguished from deadlock."""
+    """Strong bisimilarity of initial states, classed in one table both
+    LTSs share."""
     classes: Dict[frozenset, int] = {}
     initial = []
     for lts in (l1, l2):
         succ: List[List[Tuple[ActionLiteral, int]]] = [[] for _ in range(lts.num_states)]
         for p, a, q in lts.transitions:
             succ[p].append((a, q))
-        # a state on the current path has the class None
-        cls: Dict[int, Optional[int]] = {}
-        if lts.done is not None:
-            cls[lts.done] = -1
-        stack = [lts.initial]
-        while stack:
-            s = stack[-1]
-            if s not in cls:
-                cls[s] = None
-                for _, q in succ[s]:
-                    if q in cls and cls[q] is None:
-                        raise ValueError("the LTS has a cycle")
-                    stack.append(q)
-            else:
-                stack.pop()
-                if cls[s] is None:
-                    signature = frozenset((a, cls[q]) for a, q in succ[s])
-                    cls[s] = classes.setdefault(signature, len(classes))
-        initial.append(cls[lts.initial])
+        cls = {} if lts.done is None else {lts.done: -1}
+        initial += _classes([lts.initial], succ.__getitem__, cls, classes)
     return initial[0] == initial[1]
+
+
+def bisimilar_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
+    """Strong bisimilarity of two closed ground terms, decided on the one
+    state space of the terms reachable from either: each is stepped by one
+    engine and classed once, and no LTS is built.  Done is the residual
+    None."""
+    roots = [closed_ground_term(t, ctx) for t in (t1, t2)]
+    # an engine of its own: the oracle shares no cached result with the
+    # normal forms it checks
+    engine = Engine(ctx)
+    c1, c2 = _classes(roots, lambda s: _hnf(engine, s), {None: -1}, {})
+    return c1 == c2
 
 
 def to_dot(lts: LTS) -> str:

@@ -1,7 +1,7 @@
 """Tests for the axiom-suite harness: coverage, determinism, report shape."""
 
-import dataclasses
 import importlib
+import itertools
 import json
 import random
 import re
@@ -164,11 +164,27 @@ class TestDualCheck:
         with pytest.raises(OracleDisagreement):
             _check_eq_instance(Alt(a, a), a, ctx)
 
+    def test_a_disagreement_in_a_suite_names_the_instance_to_rerun(self, ctx, monkeypatch):
+        # the normal-form route turns lossy from its fourth query on
+        real = axioms.normal_forms
+        queries = itertools.count()
+        lossy = lambda ts, ctx: (
+            (normalize.BasicTerm(()), real(ts, ctx)[1]) if next(queries) >= 3 else real(ts, ctx)
+        )
+        monkeypatch.setattr(axioms, "normal_forms", lossy)
+        rerun = r"^t2\.01, sample 3, seed 7: normal forms say False, bisimulation says True"
+        with pytest.raises(OracleDisagreement, match=rerun):
+            check_acp_axioms(ctx, samples=10, seed=7)
+
     def test_an_oracle_without_done_disagrees_with_the_normal_forms(self, ctx, monkeypatch):
-        # without its Done state, termination looks like deadlock to the oracle
-        real = axioms.build_lts
+        # without its Done state, termination looks like deadlock to the
+        # oracle; the fault is in the oracle's steps only
+        real = lts._hnf
         monkeypatch.setattr(
-            axioms, "build_lts", lambda t, ctx: dataclasses.replace(real(t, ctx), done=None)
+            lts,
+            "_hnf",
+            lambda engine, t: {(a, Deadlock() if k is None else k): None
+                               for a, k in real(engine, t)},
         )
         a = Action("a")
         with pytest.raises(OracleDisagreement):

@@ -20,7 +20,9 @@ from meadowacp import (
     parse_term,
     to_dot,
 )
+from meadowacp import lts as lts_module
 from meadowacp import speclang
+from meadowacp.lts import bisimilar_terms
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
@@ -93,6 +95,38 @@ class TestBisimilar:
             assert bisimilar(x, y) == bisimilar(y, x)  # symmetric
             if bisimilar(x, y) and bisimilar(y, z):  # transitive
                 assert bisimilar(x, z)
+
+
+class TestBisimilarTerms:
+    """The oracle's verdict on two terms, on their one joint state space."""
+
+    def test_agrees_with_bisimilar_on_the_two_lts(self, ctx):
+        rng = random.Random(4)
+        gen = TermGen(ctx, rng, max_depth=4)
+        for _ in range(1000):
+            t1, t2 = gen.term(), gen.term()
+            for lhs, rhs in ((t1, t2), (t1, t1), (t1, Alt(t1, t1))):
+                by_lts = bisimilar(build_lts(lhs, ctx), build_lts(rhs, ctx))
+                assert bisimilar_terms(lhs, rhs, ctx) == by_lts
+
+    def test_each_term_reachable_from_either_side_is_stepped_once(self, ctx, monkeypatch):
+        stepped = []
+        real = lts_module._hnf
+        monkeypatch.setattr(
+            lts_module, "_hnf", lambda engine, t: stepped.append((engine, t)) or real(engine, t)
+        )
+        rng = random.Random(5)
+        gen = TermGen(ctx, rng, max_depth=3)
+        for _ in range(20):
+            x, y = gen.term(), gen.term()
+            lhs, rhs = Alt(x, y), Alt(y, x)
+            states = {t for side in (lhs, rhs) for t in build_lts(side, ctx).terms} - {None}
+            stepped.clear()
+            assert bisimilar_terms(lhs, rhs, ctx)
+            terms = [t for _, t in stepped]
+            assert len({engine for engine, _ in stepped}) == 1
+            assert len(terms) == len(set(terms))
+            assert set(terms) == states
 
 
 def _chain(n: int) -> LTS:
