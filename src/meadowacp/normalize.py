@@ -1,17 +1,18 @@
 """Canonical normal forms for closed, ground process terms.
 
-A term is rewritten into a *basic term*: a sorted, duplicate-free sum of
-summands, each a ground action literal optionally followed by a basic
-term.  The empty sum is deadlock.  Two closed ground terms are equal in
-the equational theory exactly when their basic terms coincide, which is
+A term is rewritten into a *basic term*: a set of summands, each a ground
+action literal optionally followed by a basic term, ordered only when it
+is printed.  The empty set is deadlock.  Two closed ground terms are equal
+in the equational theory exactly when their basic terms coincide, which is
 what :func:`equal_terms` decides.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from functools import cmp_to_key
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned, memo_attr
+from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned
 from .terms import (
     Action,
     ActionLiteral,
@@ -46,29 +47,21 @@ class Summand:
     action: ActionLiteral
     continuation: Optional["BasicTerm"] = None
 
-    def sort_key(self):
-        return memo_attr(self, "_key", self._compute_key)
-
-    def _compute_key(self):
-        if self.continuation is None:
-            return (self.action.sort_key(), 0, ())
-        return (self.action.sort_key(), 1, self.continuation.sort_key())
-
     def __str__(self) -> str:
-        return _render(BasicTerm((self,)))
+        return _render(BasicTerm.of((self,)))
 
 
 @interned
 class BasicTerm:
-    """A canonical normal form: sorted, duplicate-free tuple of summands.
-    Interned like every term node, so equal normal forms are one object,
-    whichever engine built them."""
+    """A canonical normal form: the set of its summands, ordered only when
+    it is printed.  Interned like every term node, so equal normal forms
+    are one object, whichever engine built them."""
 
-    summands: Tuple[Summand, ...]
+    summands: FrozenSet[Summand]
 
     @staticmethod
     def of(summands) -> "BasicTerm":
-        return BasicTerm(tuple(sorted(set(summands), key=Summand.sort_key)))
+        return BasicTerm(frozenset(summands))
 
     @property
     def is_deadlock(self) -> bool:
@@ -77,12 +70,7 @@ class BasicTerm:
     @property
     def is_atomic(self) -> bool:
         """A single summand that terminates immediately."""
-        return len(self.summands) == 1 and self.summands[0].continuation is None
-
-    def sort_key(self):
-        return memo_attr(
-            self, "_key", lambda: tuple(s.sort_key() for s in self.summands)
-        )
+        return len(self.summands) == 1 and next(iter(self.summands)).continuation is None
 
     def __str__(self) -> str:
         return _render(self)
@@ -90,20 +78,39 @@ class BasicTerm:
 
 def _render(root: BasicTerm) -> str:
     """The text of a normal form, on an explicit stack, so deep ones do not
-    exhaust the interpreter's; each distinct node is rendered once."""
+    exhaust the interpreter's; each distinct node is ordered and rendered
+    once, after its continuations."""
     text: Dict[object, str] = {}
+    order: Dict[BasicTerm, List[Summand]] = {}
+
+    def compare(s: Summand, t: Summand) -> int:
+        # by action, termination first, then the continuations' ordered
+        # summands lexicographically: a loop down the first pair that differs
+        while True:
+            c, d = s.continuation, t.continuation
+            if s.action is not t.action:
+                return -1 if s.action.sort_key() < t.action.sort_key() else 1
+            if c is None or d is None:
+                return -1 if c is None else 1
+            for s, t in zip(order[c], order[d]):
+                if s is not t:
+                    break
+            else:  # one is a prefix of the other
+                return -1 if len(order[c]) < len(order[d]) else 1
+
     stack = [root]
     while stack:
         bt = stack[-1]
         todo = [s.continuation for s in bt.summands
-                if s.continuation is not None and s.continuation not in text]
+                if s.continuation is not None and s.continuation not in order]
         if todo:
             stack += todo
             continue
         stack.pop()
-        if bt in text:  # pushed twice before it was rendered
+        if bt in order:  # pushed twice before it was rendered
             continue
-        for s in bt.summands:
+        order[bt] = summands = sorted(bt.summands, key=cmp_to_key(compare))
+        for s in summands:
             if s not in text:
                 cont = s.continuation
                 if cont is None:
@@ -111,7 +118,7 @@ def _render(root: BasicTerm) -> str:
                 else:
                     inner = text[cont] if len(cont.summands) == 1 else f"({text[cont]})"
                     text[s] = f"{s.action} . {inner}"
-        text[bt] = " + ".join(text[s] for s in bt.summands) or "delta"
+        text[bt] = " + ".join(text[s] for s in summands) or "delta"
     return text[root]
 
 
@@ -183,7 +190,7 @@ def guard_chain(
     term = data_action(name, us)
     if residual is not None:
         term = Seq(term, residual)
-    for u, v in reversed(list(zip(us, vs))):
+    for u, v in reversed(list(zip(us, vs, strict=True))):
         term = Guard(QAdd(u.literal(), QNeg(v.literal())), term)
     return term
 

@@ -158,7 +158,7 @@ class TestDualCheck:
     def test_a_wrong_normal_form_route_disagrees_with_the_oracle(self, ctx, monkeypatch):
         # a normal-form route that loses every summand of the left side
         real = axioms.normal_forms
-        lossy = lambda ts, ctx: (normalize.BasicTerm(()), real(ts, ctx)[1])
+        lossy = lambda ts, ctx: (normalize.BasicTerm.of(()), real(ts, ctx)[1])
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         a = Action("a")
         with pytest.raises(OracleDisagreement):
@@ -169,7 +169,7 @@ class TestDualCheck:
         real = axioms.normal_forms
         queries = itertools.count()
         lossy = lambda ts, ctx: (
-            (normalize.BasicTerm(()), real(ts, ctx)[1]) if next(queries) >= 3 else real(ts, ctx)
+            (normalize.BasicTerm.of(()), real(ts, ctx)[1]) if next(queries) >= 3 else real(ts, ctx)
         )
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         rerun = r"^t2\.01, sample 3, seed 7: normal forms say False, bisimulation says True"

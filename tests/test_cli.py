@@ -75,6 +75,17 @@ class TestNormalize:
         assert main(["equiv", "--spec", str(spec), f"{term} . P", f"{term} . a . b"]) == 0
         assert capsys.readouterr().out.startswith("equivalent\n")
 
+    def test_the_sum_of_two_900_action_sequences(self, tmp_path, capsys):
+        spec = tmp_path / "f3.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
+        run = " . ".join(["a"] * 900)
+        nf, swapped = f"{run} . b + {run} . c", f"{run} . c + {run} . b"
+        assert main(["normalize", "--spec", str(spec), swapped]) == 0
+        assert capsys.readouterr().out == nf + "\n"
+        assert main(["equiv", "--spec", str(spec), nf, swapped]) == 0
+        out = capsys.readouterr().out
+        assert out == f"equivalent\n  {nf}  ~>  {nf}\n  {swapped}  ~>  {nf}\n"
+
 
 class TestEquiv:
     def test_equivalent_exits_0(self, sample_spec_path, capsys):
@@ -99,7 +110,7 @@ class TestEquiv:
     def test_disagreement_of_the_routes_exits_2(self, sample_spec_path, capsys, monkeypatch):
         # a normal-form route that loses every summand of the left side
         real = axioms.normal_forms
-        lossy = lambda ts, ctx: (BasicTerm(()), real(ts, ctx)[1])
+        lossy = lambda ts, ctx: (BasicTerm.of(()), real(ts, ctx)[1])
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         assert main(["equiv", "--spec", sample_spec_path, "a + a", "a"]) == 2
         out, err = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Tests for canonical normal forms and the equational theory."""
 
+import itertools
 import random
 import weakref
 from fractions import Fraction
@@ -8,7 +9,9 @@ import pytest
 
 from meadowacp import (
     Action,
+    ActionLiteral,
     Alt,
+    BasicTerm,
     CommMerge,
     DataAction,
     Deadlock,
@@ -34,6 +37,7 @@ from meadowacp import (
     normalize,
     parse_term,
 )
+from meadowacp.lts import bisimilar_terms
 from meadowacp.normalize import _hnf, guard_chain
 
 
@@ -183,6 +187,18 @@ class TestGuardAlgebra:
         with_residual = guard_chain("c", us, vs, residual)
         assert with_residual.body.body == Seq(core, residual)
 
+    def test_guard_chain_refuses_unequal_arities(self, ctx):
+        u, v = ctx.meadow.one(), ctx.meadow.zero()
+        with pytest.raises(ValueError):
+            guard_chain("c", (u,), (u, v))
+
+    def test_data_actions_of_unequal_arities_do_not_communicate(self, ctx):
+        # the arity test comes before the guard-chain cross-check
+        one, two = QConst(Fraction(1)), QConst(Fraction(2))
+        for args in ((one, two), (two, two)):
+            t = CommMerge(DataAction("a", (one,)), DataAction("b", args))
+            assert str(normalize(t, ctx, debug_guard_chain=True)) == "delta"
+
 
 def _reachable_nodes(nf):
     """Every distinct BasicTerm and Summand object reachable from nf."""
@@ -232,9 +248,70 @@ class TestHashConsing:
         t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
         nf = normalize(t, ctx)
         pair = normal_forms((t, Alt(t, t)), ctx)
-        refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(pair[0].summands[0])]
+        refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(next(iter(pair[0].summands)))]
         del nf, pair
         assert all(ref() is None for ref in refs)
+
+
+class TestUnorderedNormalForms:
+    def test_queries_never_order_summands(self, ctx, monkeypatch):
+        gen = TermGen(ctx, random.Random(11), max_depth=4)
+        pairs = [(gen.term(), gen.term()) for _ in range(100)]
+        pairs += [(x, Alt(y, x)) for x, y in pairs[:50]]
+
+        def refuse(literal):
+            raise AssertionError(f"{literal} was ordered")
+
+        # action keys order summands only when a normal form is printed
+        monkeypatch.setattr(ActionLiteral, "sort_key", refuse)
+        verdicts = []
+        for x, y in pairs:
+            nf_x, nf_y = normal_forms((x, y), ctx)
+            verdict = equal_terms(x, y, ctx)
+            assert verdict == (nf_x is nf_y) == bisimilar_terms(x, y, ctx)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_a_basic_term_is_the_set_of_its_summands(self, ctx):
+        # by action, then termination first, then a prefix first
+        nf = normalize(parse_term("c . a + a . (c + b) + c + a . b", ctx), ctx)
+        summands = list(nf.summands)
+        assert nf.summands == frozenset(summands) and len(summands) == 4
+        for permutation in itertools.permutations(summands):
+            built = BasicTerm.of(permutation)
+            assert built is nf
+            assert str(built) == "a . b + a . (b + c) + c + c . a"
+
+    def test_printed_order_is_the_order_of_nested_keys(self, ctx):
+        # the order of the summands' nested key tuples, the lexicographic
+        # order of the whole normal form, on terms small enough to recurse
+        keys, texts = {}, {}
+
+        def key(s):
+            if s not in keys:
+                cont = s.continuation
+                rest = (0, ()) if cont is None else (1, tuple(sorted(map(key, cont.summands))))
+                keys[s] = (s.action.sort_key(), *rest)
+            return keys[s]
+
+        def text(bt):
+            if bt not in texts:
+                parts = []
+                for s in sorted(bt.summands, key=key):
+                    cont = s.continuation
+                    if cont is None:
+                        parts.append(str(s.action))
+                    else:
+                        inner = text(cont) if len(cont.summands) == 1 else f"({text(cont)})"
+                        parts.append(f"{s.action} . {inner}")
+                texts[bt] = " + ".join(parts) or "delta"
+            return texts[bt]
+
+        gen = TermGen(ctx, random.Random(3), max_depth=4)
+        for _ in range(150):
+            x, y = gen.term(), gen.term()
+            nf = normalize(Par(x, y) if gen.rng.random() < 0.3 else Alt(x, y), ctx)
+            assert str(nf) == text(nf)
 
 
 class TestDeepTerms:
@@ -248,6 +325,15 @@ class TestDeepTerms:
         assert (lts.num_states, len(lts.transitions)) == (901, 900)
         assert equal_terms(t, parse_term(src, ctx), ctx)
         assert not equal_terms(t, parse_term(src + " . b", ctx), ctx)
+
+    def test_the_sum_of_two_900_action_sequences(self, ctx):
+        # ordering the two summands for printing walks 900 levels in a loop
+        run = " . ".join(["a"] * 900)
+        left = parse_term(f"{run} . b + {run} . c", ctx)
+        right = parse_term(f"{run} . c + {run} . b", ctx)
+        assert str(normalize(right, ctx)) == f"{run} . b + {run} . c"
+        assert equal_terms(left, right, ctx)
+        assert not equal_terms(left, parse_term(f"{run} . b + {run} . a", ctx), ctx)
 
 
 class TestMergeRule:

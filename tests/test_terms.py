@@ -228,13 +228,13 @@ def _one_node_of_each_class():
     """A fresh node of each of the 22 syntax classes, from fresh fields."""
     a, q = Action("a"), QVar("u")
     lit = ActionLiteral("a", (MeadowKind.prime_field(3).from_int(2),))
-    summand = Summand(lit, BasicTerm((Summand(ActionLiteral("b")),)))
+    summand = Summand(lit, BasicTerm.of((Summand(ActionLiteral("b")),)))
     return [
         Deadlock(), a, DataAction("b", (QConst(Fraction(2)), q)), Alt(a, Deadlock()),
         Seq(a, a), Par(a, ProcVar("P")), LeftMerge(a, a), CommMerge(a, a),
         Encap(frozenset({"a"}), a), Guard(q, a), ProcVar("P"),
         QZero(), QOne(), QConst(Fraction(1, 3)), q, QAdd(q, QOne()), QMul(q, q),
-        QNeg(q), QInv(q), lit, summand, BasicTerm((summand,)),
+        QNeg(q), QInv(q), lit, summand, BasicTerm.of((summand,)),
     ]
 
 
