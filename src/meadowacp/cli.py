@@ -19,7 +19,7 @@ from .axioms import (
     check_derived,
     check_enriched_axioms,
 )
-from .lts import build_lts, to_dot
+from .lts import build_lts, ordered_transitions, to_dot
 from .meadow import MeadowError, MeadowKind, check_meadow_axioms
 from .normalize import GuardChainMismatch, normalize
 from .speclang import SpecError, parse_spec, parse_term
@@ -88,7 +88,7 @@ def cmd_lts(args) -> int:
         )
     else:
         print(f"states: {lts.num_states} (done: {lts.done})")
-        for p, a, q in sorted(lts.transitions, key=lambda e: (e[0], e[1].sort_key(), e[2])):
+        for p, a, q in ordered_transitions(lts):
             print(f"  {p} --{a}--> {q}")
     return 0
 
@@ -193,6 +193,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except RecursionError:
         print("error: term nested too deeply for the interpreter's stack", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -136,6 +136,11 @@ def bisimilar_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
     return c1 == c2
 
 
+def ordered_transitions(lts: LTS) -> List[Tuple[int, ActionLiteral, int]]:
+    """The transitions in printed order: by source, action, then target."""
+    return sorted(lts.transitions, key=lambda e: (e[0], e[1].sort_key(), e[2]))
+
+
 def to_dot(lts: LTS) -> str:
     """Graphviz rendering; the Done state is double-circled."""
     lines = ["digraph lts {", "  rankdir=LR;"]
@@ -150,9 +155,7 @@ def to_dot(lts: LTS) -> str:
             label = _short_label(lts.terms[s], labels)
         label = label.replace('"', '\\"')
         lines.append(f'  n{s} [shape={shape}, label="{label}"];')
-    for p, a, q in sorted(
-        lts.transitions, key=lambda e: (e[0], e[1].sort_key(), e[2])
-    ):
+    for p, a, q in ordered_transitions(lts):
         lines.append(f'  n{p} -> n{q} [label="{a}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -281,6 +281,7 @@ class QuantityTerm:
     """Base class for quantity syntax trees."""
 
     __slots__ = ()
+    _closed = False  # set on a node once terms.free_vars finds it ground
 
 
 @interned
@@ -335,16 +336,6 @@ def quantity_literal(q: Fraction) -> QuantityTerm:
     if q == 1:
         return QOne()
     return QConst(q)
-
-
-def free_quantity_vars_q(t: QuantityTerm) -> frozenset:
-    if isinstance(t, QVar):
-        return frozenset((t.name,))
-    if isinstance(t, (QAdd, QMul)):
-        return free_quantity_vars_q(t.lhs) | free_quantity_vars_q(t.rhs)
-    if isinstance(t, (QNeg, QInv)):
-        return free_quantity_vars_q(t.arg)
-    return frozenset()
 
 
 def eval_quantity(

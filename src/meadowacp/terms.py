@@ -16,8 +16,12 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 from .meadow import (
     MeadowKind,
     MeadowValue,
+    QAdd,
+    QInv,
+    QMul,
+    QNeg,
     QuantityTerm,
-    free_quantity_vars_q,
+    QVar,
     interned,
     memo_attr,
 )
@@ -33,6 +37,7 @@ class OpenTerm(ProcessError):
 
 class ProcessTerm:
     __slots__ = ()
+    _closed = False  # set on a node once free_vars finds it closed and ground
 
 
 @interned
@@ -214,39 +219,47 @@ class SpecContext:
 
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
+_PAIRS = (*_BINARY, QAdd, QMul)  # the nodes with an lhs and an rhs
 
 
-def iter_subterms(t: ProcessTerm):
-    """Every node of t, in preorder; an explicit stack, so deep terms do not
-    exhaust the interpreter's."""
+def free_vars(t: ProcessTerm) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+    """t's free process and quantity variables, by one walk on an explicit
+    stack over its distinct nodes that skips marked ones.  When nothing is
+    free it marks each node it passed: being closed and ground does not
+    depend on the context, so the shared node keeps it (as in ATerm)."""
+    procs, quants, passed = set(), set(), set()
     stack = [t]
     while stack:
         node = stack.pop()
-        yield node
-        if isinstance(node, _BINARY):
-            stack.append(node.rhs)
-            stack.append(node.lhs)
-        elif isinstance(node, (Encap, Guard)):
+        if node._closed or node in passed:
+            continue
+        passed.add(node)
+        if isinstance(node, _PAIRS):
+            stack += (node.rhs, node.lhs)
+        elif isinstance(node, Encap):
             stack.append(node.body)
+        elif isinstance(node, Guard):
+            stack += (node.body, node.cond)
+        elif isinstance(node, DataAction):
+            stack += node.args
+        elif isinstance(node, (QNeg, QInv)):
+            stack.append(node.arg)
+        elif isinstance(node, ProcVar):
+            procs.add(node.name)
+        elif isinstance(node, QVar):
+            quants.add(node.name)
+    if not (procs or quants):
+        for node in passed:
+            object.__setattr__(node, "_closed", True)
+    return frozenset(procs), frozenset(quants)
 
 
 def free_process_vars(t: ProcessTerm) -> FrozenSet[str]:
-    out = set()
-    for node in iter_subterms(t):
-        if isinstance(node, ProcVar):
-            out.add(node.name)
-    return frozenset(out)
+    return free_vars(t)[0]
 
 
 def free_quantity_vars(t: ProcessTerm) -> FrozenSet[str]:
-    out = set()
-    for node in iter_subterms(t):
-        if isinstance(node, DataAction):
-            for q in node.args:
-                out |= free_quantity_vars_q(q)
-        elif isinstance(node, Guard):
-            out |= free_quantity_vars_q(node.cond)
-    return frozenset(out)
+    return free_vars(t)[1]
 
 
 def _map_children(t: ProcessTerm, f) -> ProcessTerm:
@@ -273,7 +286,8 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     The walk is a post-order on an explicit stack, so deep terms do not
     exhaust the interpreter's.  Nodes are interned, so each distinct node is
     inlined once per call; a node inlined without error reaches no cycle,
-    so its result does not depend on the definitions being expanded.
+    so its result does not depend on the definitions being expanded.  A
+    node that free_vars marked holds no ProcVar and stays as it is.
     """
     defs = ctx.definitions
     if not defs:
@@ -289,6 +303,8 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
                 done[node] = done[defs[node.name]]
             else:
                 done[node] = _map_children(node, done.__getitem__)
+        elif node._closed:
+            done[node] = node
         elif node not in done:
             stack.append((node, True))
             if isinstance(node, ProcVar) and node.name in defs:
@@ -307,21 +323,11 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
 
 def closed_ground_term(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     """The gate of every query: t with its definitions inlined, checked to
-    be closed and ground (else OpenTerm).
-
-    The result is recorded on t with the context, so the next query on t
-    in the same context neither inlines nor walks it again.
-    """
-    seen = t.__dict__.get("_gate")
-    if seen is not None and seen[0] is ctx:
-        return t if seen[1] is None else seen[1]
+    be closed and ground (else OpenTerm)."""
     g = inline_definitions(t, ctx)
-    fv = free_process_vars(g)
+    fv, qv = free_vars(g)
     if fv:
         raise OpenTerm(f"free process variables: {sorted(fv)}")
-    qv = free_quantity_vars(g)
     if qv:
         raise OpenTerm(f"free quantity variables: {sorted(qv)}")
-    # None for t itself, so that t holds no reference to itself
-    object.__setattr__(t, "_gate", (ctx, None if g is t else g))
     return g

@@ -21,6 +21,7 @@ from meadowacp import (
     MeadowKind,
     OracleDisagreement,
     Par,
+    ProcessTerm,
     Seq,
     SpecContext,
     check_acp_axioms,
@@ -140,20 +141,35 @@ class TestFailureReport:
         assert result.counterexample == {"instance": "a + b"}
 
 
+def _process_nodes(t):
+    """Every process node of t, on an explicit stack."""
+    stack, out = [t], []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack += [v for v in vars(node).values() if isinstance(v, ProcessTerm)]
+    return out
+
+
 class TestDualCheck:
     """Each route checks the other: a fault in one shows as a disagreement,
     a fault in a rule both share as a failing axiom."""
 
     def test_each_term_passes_the_gate_once(self, ctx, monkeypatch):
-        calls = []
-        for name in ("free_process_vars", "free_quantity_vars"):
-            walk = getattr(terms, name)
-            monkeypatch.setattr(
-                terms, name, lambda t, name=name, walk=walk: calls.append(name) or walk(t)
-            )
-        a, b = Action("a"), Action("b")
+        # one list per walk of the gate, of the objects it tests by isinstance
+        walks = []
+        free_vars = terms.free_vars
+        monkeypatch.setattr(terms, "free_vars", lambda t: walks.append([]) or free_vars(t))
+        monkeypatch.setattr(
+            terms, "isinstance",
+            lambda obj, cls: walks[-1].append(obj) or isinstance(obj, cls), raising=False,
+        )
+        a, b = Action("gate-once-a"), Action("gate-once-b")  # marked by no other test
         assert _check_eq_instance(Par(a, b), Par(b, a), ctx)[0]
-        assert sorted(calls) == ["free_process_vars"] * 2 + ["free_quantity_vars"] * 2
+        walked = [set(w) for w in walks]
+        # every node is walked, and by one walk only: the others find it marked
+        assert set().union(*walked) == {Par(a, b), Par(b, a), a, b}
+        assert sum(map(len, walked)) == 4
 
     def test_a_wrong_normal_form_route_disagrees_with_the_oracle(self, ctx, monkeypatch):
         # a normal-form route that loses every summand of the left side
@@ -258,7 +274,7 @@ class TestSchemasParsedFromNames:
             names = set()
             for side in schema.sides:
                 names |= free_process_vars(side) | free_quantity_vars(side)
-                for node in terms.iter_subterms(side):
+                for node in _process_nodes(side):
                     if isinstance(node, Action):
                         names.add(node.name)
                     elif isinstance(node, Encap):

@@ -52,6 +52,27 @@ class TestNormalize:
                 assert out == ""
                 assert err.startswith("error: term nested too deeply")
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+    def test_running_out_of_memory_exits_1(self, tmp_path):
+        # 374 distinct nodes, but about 35M when its text is written out
+        import resource
+
+        spec = tmp_path / "f3.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
+        a12 = " . ".join(["a"] * 12)
+        cap = 400 * 2**20
+        run = subprocess.run(
+            [sys.executable, "-m", "meadowacp.cli", "normalize", "--spec", str(spec),
+             f"({a12}) || ({a12} . c)"],
+            env=dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent)),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stdout == ""
+        assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+        assert "Traceback" not in run.stderr
+
     def test_a_900_action_sequence(self, tmp_path, capsys):
         spec = tmp_path / "f3.acpm"
         spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
@@ -157,6 +178,24 @@ class TestLts:
 
 
 class TestAxioms:
+    def test_the_report_does_not_depend_on_earlier_queries(self, tmp_path, capsys):
+        # the suites meet nodes that these queries marked closed and ground
+        spec = tmp_path / "f3.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
+        for argv in (
+            ["normalize", "(a + b) . c || a . (b + c)"],
+            ["normalize", "[1 + 2] -> a(1) + [0] -> b(2) . a(0) + b(1) . c"],
+            ["equiv", "a . (b + c)", "a . b + a . c"],
+            ["equiv", "a || b", "a . b + b . a + c"],
+            ["lts", "a . b || b . c || c(1)", "--dot"],
+        ):
+            main([argv[0], "--spec", str(spec), *argv[1:]])
+        capsys.readouterr()
+        argv = ["axioms", "--spec", str(spec), "--samples", "94", "--seed", "0", "--json"]
+        assert main(argv) == 0
+        golden = Path(__file__).parent.parent / "perfbench" / "golden" / "axioms-spec.json"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_meadow_only_f3(self, capsys):
         rc = main(["axioms", "--meadow", "f3"])
         assert rc == 0

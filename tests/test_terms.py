@@ -51,7 +51,7 @@ from meadowacp import (
     validate_comm_spec,
 )
 from meadowacp import meadow, terms
-from meadowacp.terms import iter_subterms
+from meadowacp.terms import free_vars
 
 
 def _chain(n, tail):
@@ -60,6 +60,25 @@ def _chain(n, tail):
     for _ in range(n):
         t = Seq(Action("a"), t)
     return t
+
+
+def _quantity_sum(n, bottom):
+    """bottom + 1 + ... + 1 with n ones, built without recursion."""
+    q = bottom
+    for _ in range(n):
+        q = QAdd(q, QOne())
+    return q
+
+
+def _visited(monkeypatch):
+    """The objects that the walks of terms test by isinstance, from now on:
+    a node the walks skip as marked does not show."""
+    seen = []
+    monkeypatch.setattr(
+        terms, "isinstance", lambda obj, cls: seen.append(obj) or isinstance(obj, cls),
+        raising=False,
+    )
+    return seen
 
 
 class TestCommSpec:
@@ -111,14 +130,21 @@ class TestFreeVariables:
         assert free_process_vars(t) == frozenset({"P"})
         assert free_quantity_vars(t) == frozenset({"u", "v"})
 
-    def test_subterms_in_preorder(self):
-        a, b, c, p = Action("a"), Action("b"), Action("c"), ProcVar("P")
-        enc = Encap(frozenset({"a"}), b)
-        par = Par(c, p)
-        guard = Guard(QZero(), par)
-        seq = Seq(a, enc)
-        t = Alt(seq, guard)
-        assert list(iter_subterms(t)) == [t, seq, a, enc, b, guard, par, c, p]
+    def test_each_distinct_node_is_visited_once(self, monkeypatch):
+        # over 2**40 nodes when unfolded, 45 distinct ones
+        leaf = Guard(QVar("u"), DataAction("shared", (QVar("v"),)))
+        t = leaf
+        for _ in range(40):
+            t = Par(t, ProcVar("P") if t is leaf else t)
+        visited = _visited(monkeypatch)
+        assert free_vars(t) == (frozenset({"P"}), frozenset({"u", "v"}))
+        nodes = {leaf, leaf.cond, leaf.body, leaf.body.args[0], ProcVar("P")}
+        node = t
+        while node is not leaf:
+            nodes.add(node)
+            node = node.lhs
+        assert set(visited) == nodes and len(nodes) == 45
+        assert len(visited) < 10 * len(nodes)
 
 
 class TestDefinitions:
@@ -196,19 +222,57 @@ class TestGate:
             closed_ground_term(t, self._ctx())
 
     def test_gate_inlines_and_records_the_result(self, monkeypatch):
-        walks = []
-        walk = terms.free_process_vars
-        monkeypatch.setattr(terms, "free_process_vars", lambda t: walks.append(t) or walk(t))
         ctx = self._ctx()
         t = Par(ProcVar("P"), Action("b"))
         g = closed_ground_term(t, ctx)
         assert g == Par(Seq(Action("a"), Alt(Action("b"), Deadlock())), Action("b"))
+        assert g._closed and g.lhs.rhs._closed
+        assert not (t._closed or ProcVar("P")._closed or ctx.definitions["P"]._closed)
+        # again, only the nodes that hold a reference are walked
+        visited = _visited(monkeypatch)
         assert closed_ground_term(t, ctx) is g
-        assert walks == [g]
-        # another context may define P otherwise, so t is checked again
-        other = SpecContext(alphabet=frozenset({"a", "b"}), definitions={"P": Action("a")})
-        assert closed_ground_term(t, other) == Par(Action("a"), Action("b"))
-        assert len(walks) == 2
+        assert set(visited) == {t, ProcVar("P"), ctx.definitions["P"], ProcVar("Q")}
+        # the mark is not the context's, so t is inlined in each context
+        for body in (Action("a"), Action("b")):
+            other = SpecContext(alphabet=frozenset({"a", "b"}), definitions={"P": body})
+            assert closed_ground_term(t, other) is Par(body, Action("b"))
+
+    def test_a_new_root_over_gated_children_visits_one_node(self, monkeypatch):
+        ctx = self._ctx()  # with definitions, so inlining walks too
+        lhs = closed_ground_term(Seq(Action("new-root-a"), ProcVar("P")), ctx)
+        rhs = closed_ground_term(Guard(QAdd(QOne(), QOne()), DataAction("b", (QOne(),))), ctx)
+        root = Alt(lhs, rhs)
+        visited = _visited(monkeypatch)
+        assert closed_ground_term(root, ctx) is root
+        assert set(visited) == {root}
+        assert root._closed
+
+    def test_a_100k_term_quantity_sum_passes_the_gate(self):
+        t = Guard(_quantity_sum(100_000, QOne()), Action("a"))
+        assert closed_ground_term(t, self._ctx()) is t
+        t = Guard(_quantity_sum(100_000, QVar("u")), Action("a"))
+        with pytest.raises(OpenTerm, match=r"^free quantity variables: \['u'\]$"):
+            closed_ground_term(t, self._ctx())
+
+    def test_nothing_of_an_open_term_is_marked(self):
+        leaf = Action("open-a")
+        t = Seq(leaf, Guard(QNeg(QVar("u")), Alt(DataAction("open-b", (QOne(),)), leaf)))
+        with pytest.raises(OpenTerm, match=r"^free quantity variables: \['u'\]$"):
+            closed_ground_term(t, self._ctx())
+        guard = t.rhs
+        nodes = [t, leaf, guard, guard.cond, guard.cond.arg, guard.body, guard.body.lhs]
+        assert not any(node._closed for node in nodes)
+
+    def test_an_open_term_over_marked_subterms_gives_the_same_message(self):
+        ctx = self._ctx()
+        closed = closed_ground_term(Seq(Action("a"), ProcVar("P")), ctx)
+        assert closed._closed
+        with pytest.raises(OpenTerm, match=r"^free process variables: \['R'\]$"):
+            closed_ground_term(Alt(closed, ProcVar("R")), ctx)
+        with pytest.raises(OpenTerm, match=r"^free process variables: \['R'\]$"):
+            closed_ground_term(Alt(closed, Guard(QVar("u"), ProcVar("R"))), ctx)
+        with pytest.raises(OpenTerm, match=r"^free quantity variables: \['v'\]$"):
+            closed_ground_term(Par(closed, DataAction("a", (QVar("v"),))), ctx)
 
     def test_a_term_without_references_passes_as_itself(self):
         t = Seq(Action("a"), Action("b"))
@@ -313,7 +377,6 @@ class TestInterning:
 
     def test_exit_with_live_and_dropped_nodes_prints_nothing(self):
         # the table's callbacks run at interpreter shutdown too
-        # (a gated definition and its context form a cycle)
         script = (
             "from meadowacp import Action, Seq, normalize, parse_spec, parse_term\n"
             "ctx = parse_spec('act a, b;\\nproc P = a . b;\\nproc Q = P . a;\\n')\n"
