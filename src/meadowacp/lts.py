@@ -39,43 +39,22 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     # an engine of its own: the oracle shares no cached result with the
     # normal forms it checks
     engine = Engine(ctx)
-    index: Dict[ProcessTerm, int] = {t: 0}
-    terms: List[Optional[ProcessTerm]] = [t]
+    # Done is the residual None, numbered when it is first reached; the
+    # index's keys, in insertion order, are the terms of the states
+    index: Dict[Optional[ProcessTerm], int] = {t: 0}
     transitions: Set[Tuple[int, ActionLiteral, int]] = set()
-    done: Optional[int] = None
     work = [t]
     while work:
         term = work.pop()
         src = index[term]
         for action, residual in _hnf(engine, term):
-            if residual is None:
-                if done is None:
-                    done = len(terms)
-                    terms.append(None)
-                dst = done
-            elif residual in index:
-                dst = index[residual]
-            else:
-                dst = len(terms)
-                index[residual] = dst
-                terms.append(residual)
-                work.append(residual)
+            dst = index.get(residual)
+            if dst is None:
+                dst = index[residual] = len(index)
+                if residual is not None:
+                    work.append(residual)
             transitions.add((src, action, dst))
-    return LTS(
-        num_states=len(terms),
-        initial=0,
-        transitions=transitions,
-        done=done,
-        terms=terms,
-    )
-
-
-def _short_label(t: ProcessTerm, memo: dict) -> str:
-    """pretty_term(t), cut to 60 characters; memo as in pretty_prefix."""
-    from .speclang import pretty_prefix
-
-    s = pretty_prefix(t, 61, memo)
-    return s if len(s) <= 60 else s[:57] + "..."
+    return LTS(len(index), 0, transitions, done=index.get(None), terms=list(index))
 
 
 def _classes(roots, steps, cls: dict, classes: Dict[frozenset, int]) -> list:
@@ -142,9 +121,12 @@ def ordered_transitions(lts: LTS) -> List[Tuple[int, ActionLiteral, int]]:
 
 
 def to_dot(lts: LTS) -> str:
-    """Graphviz rendering; the Done state is double-circled."""
+    """Graphviz rendering; the Done state is double-circled.  A state's
+    label is its term's text, cut to 60 characters."""
+    from .speclang import pretty_prefix
+
     lines = ["digraph lts {", "  rankdir=LR;"]
-    labels: dict = {}  # the memo of _short_label, shared by the states
+    memo: dict = {}  # the memo of pretty_prefix, shared by the states
     for s in range(lts.num_states):
         shape = "doublecircle" if s == lts.done else "circle"
         if s >= len(lts.terms):
@@ -152,7 +134,9 @@ def to_dot(lts: LTS) -> str:
         elif lts.terms[s] is None:
             label = "done"
         else:
-            label = _short_label(lts.terms[s], labels)
+            label = pretty_prefix(lts.terms[s], 61, memo)
+            if len(label) > 60:
+                label = label[:57] + "..."
         label = label.replace('"', '\\"')
         lines.append(f'  n{s} [shape={shape}, label="{label}"];')
     for p, a, q in ordered_transitions(lts):

@@ -133,51 +133,6 @@ HeadSummand = Tuple[ActionLiteral, Optional[ProcessTerm]]
 Hnf = Dict[HeadSummand, None]
 
 
-def _seq_residual(k: Optional[ProcessTerm], q: ProcessTerm) -> ProcessTerm:
-    return q if k is None else Seq(k, q)
-
-
-def _par_residual(
-    k1: Optional[ProcessTerm], k2: Optional[ProcessTerm]
-) -> Optional[ProcessTerm]:
-    if k1 is None:
-        return k2
-    if k2 is None:
-        return k1
-    return Par(k1, k2)
-
-
-def _eval_args(t: DataAction, ctx: SpecContext) -> ActionLiteral:
-    vals = tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)
-    return ActionLiteral(t.name, vals)
-
-
-def _comm_summand(
-    engine: "Engine",
-    a1: ActionLiteral,
-    k1: Optional[ProcessTerm],
-    a2: ActionLiteral,
-    k2: Optional[ProcessTerm],
-) -> Hnf:
-    """Synchronize two head summands, or drop them (deadlock)."""
-    name = engine.ctx.comm.gamma(a1.name, a2.name)
-    if name is None or len(a1.args) != len(a2.args):
-        return {}
-    residual = _par_residual(k1, k2)
-    direct: Hnf = {}
-    if a1.args == a2.args:
-        direct[(ActionLiteral(name, a1.args), residual)] = None
-    if engine.debug_guard_chain and a1.args:
-        # the chain holds no communication merge, so the cross-check cannot recurse
-        chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
-        if chain != direct:
-            raise GuardChainMismatch(
-                f"{a1} | {a2}: direct route {sorted(map(str, direct))} vs "
-                f"guard chain {sorted(map(str, chain))}"
-            )
-    return direct
-
-
 def guard_chain(
     name: str,
     us: Sequence[MeadowValue],
@@ -201,11 +156,29 @@ def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
 
 
 def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
-    """The hnf of x | y, given the hnfs of x and y."""
+    """The hnf of x | y, given the hnfs of x and y: two head summands
+    synchronize when gamma is defined on their names and their data are
+    equal (t3.12); every other pair is dropped."""
+    gamma = engine.ctx.comm.gamma
     acc: Hnf = {}
     for a1, k1 in left:
         for a2, k2 in right:
-            acc |= _comm_summand(engine, a1, k1, a2, k2)
+            name = gamma(a1.name, a2.name)
+            if name is None or len(a1.args) != len(a2.args):
+                continue
+            residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)
+            direct: Hnf = {}
+            if a1.args == a2.args:
+                direct[(ActionLiteral(name, a1.args), residual)] = None
+            if engine.debug_guard_chain and a1.args:
+                # the chain holds no communication merge, so the cross-check cannot recurse
+                chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
+                if chain != direct:
+                    raise GuardChainMismatch(
+                        f"{a1} | {a2}: direct route {sorted(map(str, direct))} vs "
+                        f"guard chain {sorted(map(str, chain))}"
+                    )
+            acc |= direct
     return acc
 
 
@@ -221,11 +194,14 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
     elif isinstance(t, Action):
         out = {(ActionLiteral(t.name), None): None}
     elif isinstance(t, DataAction):
-        out = {(_eval_args(t, ctx), None): None}
+        vals = tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)
+        out = {(ActionLiteral(t.name, vals), None): None}
     elif isinstance(t, Alt):
         out = _hnf(engine, t.lhs) | _hnf(engine, t.rhs)
     elif isinstance(t, Seq):
-        out = dict.fromkeys((a, _seq_residual(k, t.rhs)) for a, k in _hnf(engine, t.lhs))
+        out = dict.fromkeys(
+            (a, t.rhs if k is None else Seq(k, t.rhs)) for a, k in _hnf(engine, t.lhs)
+        )
     elif isinstance(t, Par):
         # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
         left = _hnf(engine, t.lhs)
@@ -296,7 +272,7 @@ def normal_forms(
     terms: Sequence[ProcessTerm], ctx: SpecContext
 ) -> Tuple[BasicTerm, ...]:
     """The canonical basic terms of several terms, built in one engine, so
-    that terms with equal normal forms get the same object."""
+    that they share its hnf and normal-form tables."""
     engine = Engine(ctx)
     return tuple(engine.normalize(t) for t in terms)
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
+
+
+def _to_dict(record) -> dict:
+    """The fields of a report record, without the ones that are None."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {name: value for name, value in values if value is not None}
 
 
 @dataclass
@@ -16,18 +22,7 @@ class AxiomResult:
     counterexample: Optional[Dict[str, str]] = None
     checked: int = 0
 
-    def to_dict(self) -> dict:
-        d = {
-            "id": self.id,
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "status": self.status,
-            "checked": self.checked,
-        }
-        if self.counterexample is not None:
-            d["counterexample"] = self.counterexample
-        return d
+    to_dict = _to_dict
 
 
 @dataclass
@@ -51,14 +46,4 @@ class AxiomReport:
         return True
 
     def to_dict(self) -> dict:
-        d = {
-            "suite": self.suite,
-            "meadow": self.meadow,
-            "mode": self.mode,
-            "axioms": [r.to_dict() for r in self.axioms],
-        }
-        for key in ("separation", "cancellation", "general_inverse"):
-            value = getattr(self, key)
-            if value is not None:
-                d[key] = value
-        return d
+        return {**_to_dict(self), "axioms": [r.to_dict() for r in self.axioms]}

@@ -241,8 +241,9 @@ class _Parser:
         return names
 
     def _name_set(self) -> set:
+        """`{a, b}`, or `{}` for the empty set."""
         self.eat_sym("{")
-        names = {tok.text for tok in self._name_list()}
+        names = set() if self.at_sym("}") else {tok.text for tok in self._name_list()}
         self.eat_sym("}")
         return names
 

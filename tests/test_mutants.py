@@ -1,0 +1,108 @@
+"""A mutation table for the head-normal-form rules of `normalize`.
+
+Each entry edits one rule in the source text of `normalize._hnf`,
+`_left_merge` or `_comm_merge`, compiles the edited copy in memory in
+`normalize`'s namespace (the source file is never written), and binds it,
+with `monkeypatch`, wherever `normalize` and `lts` look the function up.
+The ACP, enriched and derived axiom suites then run on `default_context()`
+at 40 samples, seed 0. A mutant is killed when an axiom fails or the two
+routes of the dual check disagree (`OracleDisagreement`).
+
+Both routes step with `_hnf`, so today every kill is an axiom failure.
+"""
+
+import importlib
+import inspect
+
+import pytest
+
+from meadowacp import default_context, lts, parse_term
+from meadowacp.axioms import (
+    OracleDisagreement,
+    check_acp_axioms,
+    check_derived,
+    check_enriched_axioms,
+)
+
+# the package's own `normalize` attribute is the function of that name
+normalize = importlib.import_module("meadowacp.normalize")
+
+# (function, rule broken, text of the rule, its replacement)
+KILLED = [
+    ("_hnf", "Alt keeps only its left hnf",
+     "_hnf(engine, t.lhs) | _hnf(engine, t.rhs)", "_hnf(engine, t.lhs)"),
+    ("_hnf", "Seq's residual drops its rhs",
+     "else Seq(k, t.rhs)", "else k"),
+    ("_hnf", "Par loses its communication part",
+     "| _comm_merge(engine, left, right)", ""),
+    ("_hnf", "Par loses y |_ x",
+     "| _left_merge(right, t.lhs)", ""),
+    ("_hnf", "Encap loses its filter",
+     "if a.name not in t.hide", ""),
+    ("_hnf", "Encap does not re-wrap the residual",
+     "k if k is None else Encap(t.hide, k)", "k"),
+    ("_hnf", "a guard is enabled when its condition is nonzero",
+     "if cond.is_zero else", "if not cond.is_zero else"),
+    # keeping the arguments unevaluated, as t.args, survives: every data
+    # argument that the suites sample is a literal
+    ("_hnf", "data action arguments are dropped",
+     "tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)", "()"),
+    ("_left_merge", "x |_ y drops y from the residual",
+     "else Par(k, rhs)", "else k"),
+    ("_comm_merge", "communication ignores data equality",
+     "if a1.args == a2.args:", "if True:"),
+    ("_comm_merge", "communication drops k2 from the residual",
+     "else k1 if k2 is None else Par(k1, k2)", "else k1"),
+]
+
+# Equivalent without --debug-guard-chain: tuples of unequal length never
+# compare equal, so the data test alone drops such pairs.
+ARITY = ("_comm_merge", "communication ignores arity",
+         "name is None or len(a1.args) != len(a2.args)", "name is None")
+
+# A semantically neutral edit: the harness must report it as a survivor.
+NOOP = ("_hnf", "no change", "elif isinstance(t, Alt):", "elif isinstance(t, Alt):  # no-op")
+
+
+def mutate(monkeypatch, name: str, old: str, new: str) -> None:
+    """Bind a copy of normalize.<name> with old replaced by new."""
+    src = inspect.getsource(getattr(normalize, name))
+    assert src.count(old) == 1, f"{old!r} does not occur once in {name}"
+    copy: dict = {}
+    exec(compile(src.replace(old, new), normalize.__file__, "exec"), vars(normalize), copy)
+    for module in (normalize, lts):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, copy[name])
+
+
+def killed() -> bool:
+    ctx = default_context()
+    try:
+        for check in (check_acp_axioms, check_enriched_axioms, check_derived):
+            if check(ctx, samples=40, seed=0).failures():
+                return True
+    except OracleDisagreement:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name, rule, old, new", KILLED, ids=[m[1] for m in KILLED])
+def test_mutant_is_killed(monkeypatch, name, rule, old, new):
+    mutate(monkeypatch, name, old, new)
+    assert killed(), f"{name}: {rule} survives"
+
+
+@pytest.mark.parametrize("name, rule, old, new", [ARITY, NOOP], ids=[ARITY[1], NOOP[1]])
+def test_equivalent_mutant_survives(monkeypatch, name, rule, old, new):
+    mutate(monkeypatch, name, old, new)
+    assert not killed(), f"{name}: {rule} is killed"
+
+
+def test_the_arity_mutant_is_killed_under_the_guard_chain_check(monkeypatch):
+    name, _, old, new = ARITY
+    mutate(monkeypatch, name, old, new)
+    ctx = default_context()
+    t = parse_term("a(1) | b(1, 2)", ctx)
+    assert normalize.normalize(t, ctx).is_deadlock
+    with pytest.raises(ValueError):
+        normalize.normalize(t, ctx, debug_guard_chain=True)

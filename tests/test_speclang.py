@@ -123,6 +123,13 @@ class TestParseSpec:
         assert t is Encap(frozenset({"a"}), Action("a"))
         assert equal_terms(t, Deadlock(), ctx)
 
+    def test_a_set_may_be_empty(self):
+        ctx = parse_spec("act a;\nset H = {};\nproc P = encap(H, a);")
+        assert ctx.sets["H"] == frozenset()
+        with pytest.raises(SpecError) as exc:
+            parse_spec("act a;\nset H = {a,};", filename="demo.acpm")
+        assert str(exc.value) == "demo.acpm:2:12: expected a name, found '}'"
+
     def test_action_declared_after_a_process_of_its_name_rejected(self):
         # P would otherwise parse as the action and hide the definition
         with pytest.raises(SpecError) as exc:
@@ -211,7 +218,15 @@ class TestRoundTrip:
             t = gen.term()
             if i % 5 == 0:
                 t = Encap(frozenset({"a"}), t)
+            elif i % 5 == 1:
+                t = Encap(frozenset(), t)
             assert parse_term(pretty_term(t), ctx) == t
+
+    def test_an_empty_encapsulation_reparses(self, ctx):
+        # the h and h-e samplers of the axiom suites draw empty sets
+        t = Encap(frozenset(), Seq(Action("a"), Action("b")))
+        assert pretty_term(t) == "encap({}, a . b)"
+        assert parse_term(pretty_term(t), ctx) is t
 
     def test_pretty_examples(self, ctx):
         assert pretty_term(parse_term("a + b . c", ctx)) == "a + b . c"
