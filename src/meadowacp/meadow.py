@@ -20,7 +20,6 @@ callback removes the entry when the node dies, unless a new node holds it.
 
 from __future__ import annotations
 
-import inspect
 import random
 import weakref
 from dataclasses import MISSING, dataclass, fields
@@ -47,6 +46,54 @@ def _forget(ref, nodes=_NODES):
         del nodes[ref.key]
 
 
+def _constructor(names):
+    """A ``__new__`` for a node class with these fields (at most two):
+    ``__new__(klass, a, b)`` returns the live node keyed ``(klass, a, b)``,
+    or makes one, sets its fields and enters it in the table.  What it
+    calls is held in cells of the closure, so a call looks up no global,
+    and it runs no other Python frame."""
+    get, nodes, new, put = _NODES.get, _NODES, object.__new__, object.__setattr__
+    ref_to, forget = _Ref, _forget
+    if not names:
+        def __new__(klass):
+            key = (klass,)
+            ref = get(key)
+            if ref is not None and (node := ref()) is not None:
+                return node
+            node = new(klass)
+            nodes[key] = ref = ref_to(node, forget)
+            ref.key = key
+            return node
+    elif len(names) == 1:
+        (n1,) = names
+
+        def __new__(klass, a):
+            key = (klass, a)
+            ref = get(key)
+            if ref is not None and (node := ref()) is not None:
+                return node
+            node = new(klass)
+            put(node, n1, a)
+            nodes[key] = ref = ref_to(node, forget)
+            ref.key = key
+            return node
+    else:
+        n1, n2 = names
+
+        def __new__(klass, a, b):
+            key = (klass, a, b)
+            ref = get(key)
+            if ref is not None and (node := ref()) is not None:
+                return node
+            node = new(klass)
+            put(node, n1, a)
+            put(node, n2, b)
+            nodes[key] = ref = ref_to(node, forget)
+            ref.key = key
+            return node
+    return __new__
+
+
 def interned(cls):
     """Declare a syntax node: a frozen dataclass whose constructor returns
     the live node with the same class and fields, if there is one.
@@ -56,40 +103,28 @@ def interned(cls):
     constant-time and never recursive.  The table is a plain dict of slotted
     weak references, so it keeps no node alive, and a hit costs one lookup
     and one call of the reference; each reference's callback removes its
-    entry when its node dies.  Unpickling goes through the constructor, so
-    unpickled nodes are shared.
+    entry when its node dies.
+
+    The constructor is ``__new__`` with the class's own signature: its
+    parameters are the fields, with their defaults, so the interpreter binds
+    positional, keyword and default arguments, and raises the ``TypeError``
+    of a wrong call, naming ``Cls.__new__``.  A call, hit or fresh, runs
+    this one Python frame; the dataclass ``__init__`` is deleted, as
+    ``__new__`` sets the fields of a node once, when it is made.  Copies,
+    ``dataclasses.replace`` and unpickling go through the constructor, so
+    they return the live node too.
     """
     cls = dataclass(frozen=True, eq=False)(cls)
-    init = cls.__init__
-    del cls.__init__  # __new__ initialises a node once, when it is made
-    signature = inspect.signature(init)
-    names = tuple(f.name for f in fields(cls))
-    defaults = tuple(f.default for f in fields(cls) if f.default is not MISSING)
-    arity = len(names)
-    required = arity - len(defaults)
-    get = _NODES.get
-
-    def __new__(klass, *args, **kwargs):
-        if kwargs or len(args) != arity:
-            if not kwargs and required <= len(args) < arity:
-                args += defaults[len(args) - required:]
-            else:  # keywords, or the TypeError of a wrong arity
-                bound = signature.bind(None, *args, **kwargs)
-                bound.apply_defaults()
-                args = tuple(bound.arguments.values())[1:]
-        key = (klass, *args)
-        ref = get(key)
-        if ref is not None:
-            node = ref()
-            if node is not None:
-                return node
-        node = object.__new__(klass)
-        init(node, *args)
-        ref = _Ref(node, _forget)
-        ref.key = key
-        _NODES[key] = ref
-        return node
-
+    del cls.__init__
+    declared = fields(cls)
+    names = tuple(f.name for f in declared)
+    __new__ = _constructor(names)
+    # one template per arity: rename its parameters after the fields
+    code = __new__.__code__
+    __new__.__code__ = code.replace(
+        co_varnames=("klass", *names, *code.co_varnames[len(names) + 1:]))
+    __new__.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING)
+    __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__new__ = __new__
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
     return cls

@@ -13,6 +13,7 @@ from functools import cmp_to_key
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned
+from .speclang import pretty_prefix
 from .terms import (
     Action,
     ActionLiteral,
@@ -175,11 +176,19 @@ def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
                 chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
                 if chain != direct:
                     raise GuardChainMismatch(
-                        f"{a1} | {a2}: direct route {sorted(map(str, direct))} vs "
-                        f"guard chain {sorted(map(str, chain))}"
+                        f"{a1} | {a2}: direct route {_show(direct)} vs "
+                        f"guard chain {_show(chain)}"
                     )
             acc |= direct
     return acc
+
+
+def _show(head: Hnf) -> str:
+    """The head summands of an hnf for a message, each residual cut to 60
+    characters, so that the text stays short however deep the residual."""
+    memo: dict = {}
+    shown = (str(a) if k is None else f"{a} . {pretty_prefix(k, 60, memo)}" for a, k in head)
+    return "{" + ", ".join(sorted(shown)) + "}"
 
 
 def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:

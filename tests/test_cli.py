@@ -1,5 +1,6 @@
 """Tests for the command-line interface, via main(argv)."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -32,6 +33,23 @@ class TestNormalize:
         ])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "c(2)"
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_a_guard_chain_mismatch_is_short_and_exits_2(
+        self, sample_spec_path, capsys, monkeypatch, n
+    ):
+        # a guard chain that lost its outer guard lets a(1) | b(2) through
+        normalize = importlib.import_module("meadowacp.normalize")
+        real = normalize.guard_chain
+        monkeypatch.setattr(normalize, "guard_chain", lambda *args: real(*args).body)
+        term = "(a(1) . " + " . ".join(["b"] * n) + ") | b(2)"
+        rc = main(["normalize", "--spec", sample_spec_path, "--debug-guard-chain", term])
+        assert rc == 2
+        residual = " . ".join(["b"] * 30)[:60]
+        assert capsys.readouterr().err == (
+            "internal disagreement: a(1) | b(2): direct route {} vs "
+            f"guard chain {{c(1) . {residual}}}\n"
+        )
 
     def test_parse_error_exits_1(self, sample_spec_path, capsys):
         rc = main(["normalize", "--spec", sample_spec_path, "a +"])

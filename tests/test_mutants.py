@@ -43,8 +43,6 @@ KILLED = [
      "k if k is None else Encap(t.hide, k)", "k"),
     ("_hnf", "a guard is enabled when its condition is nonzero",
      "if cond.is_zero else", "if not cond.is_zero else"),
-    # keeping the arguments unevaluated, as t.args, survives: every data
-    # argument that the suites sample is a literal
     ("_hnf", "data action arguments are dropped",
      "tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)", "()"),
     ("_left_merge", "x |_ y drops y from the residual",
@@ -59,6 +57,11 @@ KILLED = [
 # compare equal, so the data test alone drops such pairs.
 ARITY = ("_comm_merge", "communication ignores arity",
          "name is None or len(a1.args) != len(a2.args)", "name is None")
+
+# Every data argument that the suites sample is a literal, so only a direct
+# check on a computed argument kills this one.
+UNEVALUATED = ("_hnf", "data action arguments stay unevaluated",
+               "tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)", "t.args")
 
 # A semantically neutral edit: the harness must report it as a survivor.
 NOOP = ("_hnf", "no change", "elif isinstance(t, Alt):", "elif isinstance(t, Alt):  # no-op")
@@ -106,3 +109,16 @@ def test_the_arity_mutant_is_killed_under_the_guard_chain_check(monkeypatch):
     assert normalize.normalize(t, ctx).is_deadlock
     with pytest.raises(ValueError):
         normalize.normalize(t, ctx, debug_guard_chain=True)
+
+
+def data_arguments_are_evaluated() -> bool:
+    ctx = default_context()
+    nf = lambda src: normalize.normalize(parse_term(src, ctx), ctx)
+    return nf("a(1 + 1)") is nf("a(2)") and nf("a(1 + 1) | b(2)") is nf("c(2)")
+
+
+def test_the_unevaluated_arguments_mutant_is_killed_by_a_computed_argument(monkeypatch):
+    assert data_arguments_are_evaluated()
+    name, _, old, new = UNEVALUATED
+    mutate(monkeypatch, name, old, new)
+    assert not data_arguments_are_evaluated()

@@ -1,5 +1,6 @@
 """Tests for the process-term syntax layer and communication functions."""
 
+import copy
 import dataclasses
 import gc
 import os
@@ -390,3 +391,56 @@ class TestInterning:
             capture_output=True, text=True, check=True,
         )
         assert run.stderr == ""
+
+    @pytest.mark.parametrize("node", _one_node_of_each_class(), ids=lambda n: type(n).__name__)
+    def test_every_way_of_building_a_node_returns_the_live_one(self, node):
+        cls = type(node)
+        fields = dataclasses.fields(cls)
+        values = [getattr(node, f.name) for f in fields]
+        keywords = {f.name: v for f, v in zip(fields, values)}
+        assert cls(*values) is node
+        assert cls(**keywords) is node
+        if values:
+            assert cls(*values[:1], **dict(list(keywords.items())[1:])) is node
+            assert dataclasses.replace(node, **{fields[-1].name: values[-1]}) is node
+        defaults = [f.default for f in fields if f.default is not dataclasses.MISSING]
+        required = values[:len(values) - len(defaults)]
+        assert cls(*required) is cls(*required, *defaults)
+        assert dataclasses.replace(node) is node
+        assert copy.copy(node) is node
+        assert copy.deepcopy(node) is node
+        assert pickle.loads(pickle.dumps(node)) is node
+
+    @pytest.mark.parametrize("node", _one_node_of_each_class(), ids=lambda n: type(n).__name__)
+    def test_every_wrong_call_raises_a_type_error_naming_the_class(self, node):
+        cls = type(node)
+        names = [f.name for f in dataclasses.fields(cls)]
+        values = [getattr(node, n) for n in names]
+        calls = [lambda: cls(*values, None), lambda: cls(*values, unknown=None)]
+        if names:  # a class with fields has a required one
+            calls += [lambda: cls(), lambda: cls(*values, **{names[0]: values[0]})]
+        for call in calls:
+            with pytest.raises(TypeError, match=rf"\b{cls.__qualname__}\.__new__\(\)"):
+                call()
+
+    def test_a_constructor_call_runs_one_python_frame(self):
+        a, b, lit = Action("one-frame-a"), Action("one-frame-b"), ActionLiteral("one-frame-c")
+        frames = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                frames.append(frame.f_code.co_name)
+
+        gc.disable()  # a collection could run the table's callbacks
+        sys.setprofile(profile)
+        try:
+            fresh = Seq(a, b)
+            hit = Seq(a, b)
+            fresh_with_default = Summand(lit)
+            hit_with_default = ActionLiteral("one-frame-c")
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert frames == ["__new__"] * 4
+        assert fresh is hit and hit_with_default is lit
+        assert fresh_with_default is Summand(lit, None)
