@@ -11,15 +11,23 @@ concrete meadows are provided:
   equations.  Its arithmetic is the residue arithmetic with modulus 1.
 
 Quantity terms are small syntax trees over {0, 1, +, *, -, inv} with
-variables; :func:`eval_quantity` interprets them in a concrete meadow.
-They, the process terms and the normal forms are declared with
-:func:`interned`, so equal terms are one object: one dict maps each node's
-class and fields to a slotted weak reference to it, and the reference's
-callback removes the entry when the node dies, unless a new node holds it.
+variables.  One walk, :func:`_columns`, evaluates them on an explicit
+stack, over the meadow's raw values (a Fraction in Q0, an int residue in
+Z/pZ) and over a column of n assignments at once: :func:`eval_quantity` is
+its one-column case, and the meadow suite evaluates each side of an axiom
+once over all its assignments.  ``meadow_add`` and its kin are the scalar
+operations on :class:`MeadowValue`.
+
+They, the process terms, the normal forms and :class:`MeadowKind` are
+declared with :func:`interned`, so equal terms are one object and a meadow
+is one object per modulus: one dict maps each node's class and fields to a
+slotted weak reference to it, and the reference's callback removes the
+entry when the node dies, unless a new node holds it.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import weakref
 from dataclasses import MISSING, dataclass, fields
@@ -174,10 +182,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@interned
 class MeadowKind:
     """Identifies one of the concrete meadows: the rationals when
-    ``modulus`` is None, else Z/pZ.  Modulus 1 is the trivial meadow."""
+    ``modulus`` is None, else Z/pZ.  Modulus 1 is the trivial meadow.
+    Interned, so each meadow is one object and membership is identity."""
 
     modulus: Optional[int] = None
 
@@ -221,14 +230,7 @@ class MeadowKind:
         return self.from_fraction(Fraction(n))
 
     def from_fraction(self, q: Fraction) -> "MeadowValue":
-        p = self.modulus
-        if p is None:
-            return MeadowValue(self, q)
-        num = q.numerator % p
-        den = q.denominator % p
-        # zero-totalized: a denominator that vanishes mod p has inverse 0
-        inv_den = pow(den, p - 2, p) if den else 0
-        return MeadowValue(self, (num * inv_den) % p)
+        return MeadowValue(self, _raw(q, self.modulus))
 
     def __str__(self) -> str:
         if self.modulus is None:
@@ -264,8 +266,18 @@ class MeadowValue:
         return str(self.value)
 
 
+def _raw(q: Fraction, p: Optional[int]) -> Union[Fraction, int]:
+    """The rational q as a raw value of the meadow with modulus p: q itself
+    in Q0, else its residue num * den^-1 mod p."""
+    if p is None:
+        return q
+    den = q.denominator % p
+    # zero-totalized: a denominator that vanishes mod p has inverse 0
+    return q.numerator * pow(den, p - 2, p) % p if den else 0
+
+
 def _require_member(a: MeadowValue, m: MeadowKind) -> None:
-    if a.meadow != m:
+    if a.meadow is not m:
         raise MixedMeadow(f"value from {a.meadow} used in {m}")
 
 
@@ -321,12 +333,12 @@ class QuantityTerm:
 
 @interned
 class QZero(QuantityTerm):
-    pass
+    value = Fraction(0)  # not a field: the literal's value, as in QConst
 
 
 @interned
 class QOne(QuantityTerm):
-    pass
+    value = Fraction(1)
 
 
 @interned
@@ -373,32 +385,70 @@ def quantity_literal(q: Fraction) -> QuantityTerm:
     return QConst(q)
 
 
+_LITERALS = (QConst, QZero, QOne)
+
+
+def _columns(t: QuantityTerm, column, m: MeadowKind, n: int) -> list:
+    """The values of ``t`` in ``m`` under n assignments, as a list of n raw
+    values (a Fraction in Q0, an int residue in Z/pZ); ``column(name)``
+    gives a variable's list of n raw values.
+
+    One walk of the tree on an explicit stack, so any depth is evaluated:
+    an operator node's class is pushed after its operands, as the mark that
+    combines their two (or one) columns on the ``out`` stack.  Left operands
+    are walked first, so the first unbound variable in the text is named."""
+    p = m.modulus
+    stack, out = [t], []
+    while stack:
+        t = stack.pop()
+        k = type(t)
+        if k in _LITERALS:
+            out.append([_raw(t.value, p)] * n)
+        elif k is QVar:
+            out.append(column(t.name))
+        elif k is QAdd or k is QMul:
+            stack += (k, t.rhs, t.lhs)
+        elif k is QNeg or k is QInv:
+            stack += (k, t.arg)
+        elif t is QAdd:
+            b = out.pop()
+            out[-1] = ([x + y for x, y in zip(out[-1], b)] if p is None
+                       else [(x + y) % p for x, y in zip(out[-1], b)])
+        elif t is QMul:
+            b = out.pop()
+            out[-1] = ([x * y for x, y in zip(out[-1], b)] if p is None
+                       else [x * y % p for x, y in zip(out[-1], b)])
+        elif t is QNeg:
+            out[-1] = [-x for x in out[-1]] if p is None else [-x % p for x in out[-1]]
+        elif t is QInv:
+            out[-1] = ([1 / x if x else x for x in out[-1]] if p is None
+                       else [pow(x, p - 2, p) if x else 0 for x in out[-1]])
+        else:
+            raise TypeError(f"not a quantity term: {t!r}")
+    return out[0]
+
+
 def eval_quantity(
     t: QuantityTerm, env: Mapping[str, MeadowValue], m: MeadowKind
 ) -> MeadowValue:
-    """Homomorphic evaluation of a quantity term in the meadow ``m``."""
-    if isinstance(t, QZero):
-        return m.zero()
-    if isinstance(t, QOne):
-        return m.one()
-    if isinstance(t, QConst):
-        return m.from_fraction(t.value)
-    if isinstance(t, QVar):
+    """Homomorphic evaluation of a quantity term in the meadow ``m``: the
+    one-column case of :func:`_columns`, with one :class:`MeadowValue`, for
+    the result.  A variable's value is checked to belong to ``m`` (an
+    identity test, as meadows are interned) where the term uses it; unused
+    entries of ``env`` are not looked at."""
+    if type(t) in _LITERALS:  # most guard and data arguments are literals
+        p = m.modulus
+        return MeadowValue(m, t.value if p is None else _raw(t.value, p))
+
+    def column(name):
         try:
-            v = env[t.name]
+            v = env[name]
         except KeyError:
-            raise UnboundVariable(t.name) from None
+            raise UnboundVariable(name) from None
         _require_member(v, m)
-        return v
-    if isinstance(t, QAdd):
-        return meadow_add(eval_quantity(t.lhs, env, m), eval_quantity(t.rhs, env, m), m)
-    if isinstance(t, QMul):
-        return meadow_mul(eval_quantity(t.lhs, env, m), eval_quantity(t.rhs, env, m), m)
-    if isinstance(t, QNeg):
-        return meadow_neg(eval_quantity(t.arg, env, m), m)
-    if isinstance(t, QInv):
-        return meadow_inv(eval_quantity(t.arg, env, m), m)
-    raise TypeError(f"not a quantity term: {t!r}")
+        return [v.value]
+
+    return MeadowValue(m, _columns(t, column, m, 1)[0])
 
 
 def pretty_quantity(t: QuantityTerm) -> str:
@@ -465,19 +515,15 @@ def random_rational(rng: random.Random) -> MeadowValue:
 def _sample_assignments(m: MeadowKind, mode: str, samples: int, seed: int):
     """Yield (u, v, w) assignments: the whole cube when exhaustive, else random."""
     if mode == "exhaustive":
-        carrier = list(enumerate_carrier(m))
-        for u in carrier:
-            for v in carrier:
-                for w in carrier:
-                    yield u, v, w
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            if not m.is_finite:
-                yield random_rational(rng), random_rational(rng), random_rational(rng)
-            else:
-                carrier = list(enumerate_carrier(m))
-                yield (rng.choice(carrier), rng.choice(carrier), rng.choice(carrier))
+        yield from itertools.product(list(enumerate_carrier(m)), repeat=3)
+        return
+    rng = random.Random(seed)
+    carrier = list(enumerate_carrier(m)) if m.is_finite else None
+    for _ in range(samples):
+        if carrier is None:
+            yield random_rational(rng), random_rational(rng), random_rational(rng)
+        else:
+            yield (rng.choice(carrier), rng.choice(carrier), rng.choice(carrier))
 
 
 def check_meadow_axioms(
@@ -486,31 +532,28 @@ def check_meadow_axioms(
     """Verify the defining meadow equations plus the separation, cancellation
     and general-inverse properties for a concrete meadow.
 
-    ``mode`` is "exhaustive" (finite meadows only) or "random".
+    ``mode`` is "exhaustive" (finite meadows only) or "random".  Each side
+    of an equation is evaluated once, over the columns of all the drawn
+    assignments; ``checked`` counts them up to the first that differs.
     """
     if mode == "exhaustive" and not m.is_finite:
         raise InfiniteCarrier("exhaustive check requested on the rational meadow")
+    drawn = list(_sample_assignments(m, mode, samples, seed))
+    columns = {x: [uvw[i].value for uvw in drawn] for i, x in enumerate("uvw")}
     results = []
     for axiom_id, lhs, rhs in MEADOW_AXIOMS:
-        status = "pass"
-        counterexample = None
-        checked = 0
-        for u, v, w in _sample_assignments(m, mode, samples, seed):
-            checked += 1
-            env = {"u": u, "v": v, "w": w}
-            if eval_quantity(lhs, env, m) != eval_quantity(rhs, env, m):
-                status = "fail"
-                counterexample = {"u": str(u), "v": str(v), "w": str(w)}
-                break
+        sides = zip(_columns(lhs, columns.__getitem__, m, len(drawn)),
+                    _columns(rhs, columns.__getitem__, m, len(drawn)))
+        bad = next((i for i, (a, b) in enumerate(sides) if a != b), None)
         results.append(
             AxiomResult(
                 id=axiom_id,
                 name=f"{pretty_quantity(lhs)} = {pretty_quantity(rhs)}",
                 lhs=pretty_quantity(lhs),
                 rhs=pretty_quantity(rhs),
-                status=status,
-                counterexample=counterexample,
-                checked=checked,
+                status="pass" if bad is None else "fail",
+                counterexample=None if bad is None else {x: str(c[bad]) for x, c in columns.items()},
+                checked=len(drawn) if bad is None else bad + 1,
             )
         )
 

@@ -8,7 +8,11 @@ definitions, data actions and `encap`. Each term is run through `lts`,
 `lts --json`, `lts --dot` and `normalize --json`, and each pair of
 consecutive terms of one spec through `equiv --json`.
 
-The file is the reference: regenerate it, with
+golden/meadow-reports.json pins the meadow suite: the outputs of
+`axioms --meadow M --json` for q0 (300 samples, seed 7), f17, trivial and
+f3, one after another.
+
+The files are the reference: regenerate them, with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -25,6 +29,8 @@ from pathlib import Path
 from meadowacp.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli-outputs.txt"
+MEADOW_GOLDEN = Path(__file__).parent / "golden" / "meadow-reports.json"
+MEADOWS = (["q0", "--samples", "300", "--seed", "7"], ["f17"], ["trivial"], ["f3"])
 
 SPECS = {
     "f3.acpm": "act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n",
@@ -112,6 +118,18 @@ def read_golden():
     return [(argv, rc, "".join(out)) for argv, rc, out in entries]
 
 
+def meadow_reports() -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for args in MEADOWS:
+            assert main(["axioms", "--meadow", *args, "--json"]) == 0, args
+    return out.getvalue()
+
+
+def test_meadow_reports_match_the_golden_file():
+    assert meadow_reports() == MEADOW_GOLDEN.read_text()
+
+
 def test_cli_outputs_match_the_golden_file(tmp_path):
     write_specs(tmp_path)
     for argv, rc, expected in read_golden():
@@ -136,4 +154,6 @@ if __name__ == "__main__":
                 rc, out = run(argv, Path(d))
                 assert not any(line.startswith("$ ") for line in out.splitlines()), argv
                 fh.write(f"$ {rc} {json.dumps(argv)}\n{out}")
-    print(f"wrote {GOLDEN} ({GOLDEN.stat().st_size} bytes)", file=sys.stderr)
+    MEADOW_GOLDEN.write_text(meadow_reports())
+    for path in (GOLDEN, MEADOW_GOLDEN):
+        print(f"wrote {path} ({path.stat().st_size} bytes)", file=sys.stderr)

@@ -4,11 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from meadowacp import (
+    Action,
+    Deadlock,
+    Guard,
     InfiniteCarrier,
     MeadowKind,
+    MeadowValue,
     MixedMeadow,
     NonPrimeModulus,
     QAdd,
@@ -22,18 +26,85 @@ from meadowacp import (
     UnboundVariable,
     check_meadow_axioms,
     enumerate_carrier,
+    equal_terms,
     eval_quantity,
     meadow_add,
     meadow_inv,
     meadow_mul,
     meadow_neg,
+    normalize,
     quantity_literal,
 )
+from meadowacp import meadow
+from meadowacp.cli import main
 
 Q0 = MeadowKind.rationals()
 F2 = MeadowKind.prime_field(2)
 F3 = MeadowKind.prime_field(3)
+F17 = MeadowKind.prime_field(17)
 TRIVIAL = MeadowKind.trivial()
+MEADOWS = [Q0, F2, F3, F17, TRIVIAL]
+
+
+def reference(t, env, p):
+    """A plain recursive evaluator, independent of the package's walk: raw
+    Fractions when p is None, else int residues mod p.  env maps each
+    variable to a raw value."""
+    if isinstance(t, (QZero, QOne, QConst)):
+        q = Fraction(0) if isinstance(t, QZero) else Fraction(1) if isinstance(t, QOne) else t.value
+        if p is None:
+            return q
+        den = q.denominator % p
+        return q.numerator * pow(den, -1, p) % p if den else 0
+    if isinstance(t, QVar):
+        return env[t.name]
+    if isinstance(t, (QAdd, QMul)):
+        a, b = reference(t.lhs, env, p), reference(t.rhs, env, p)
+        v = a + b if isinstance(t, QAdd) else a * b
+        return v if p is None else v % p
+    a = reference(t.arg, env, p)
+    if isinstance(t, QNeg):
+        return -a if p is None else -a % p
+    if not a:
+        return a
+    return 1 / a if p is None else pow(a, -1, p)
+
+
+def quantity_terms(depth, names="uvw"):
+    leaf = st.one_of(
+        st.sampled_from([QZero(), QOne()]),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6).map(quantity_literal),
+        st.sampled_from(names).map(QVar),
+    )
+    if depth == 0:
+        return leaf
+    sub = quantity_terms(depth - 1, names)
+    return st.one_of(
+        leaf,
+        st.builds(QAdd, sub, sub),
+        st.builds(QMul, sub, sub),
+        st.builds(QNeg, sub),
+        st.builds(QInv, sub),
+    )
+
+
+QTERMS = quantity_terms(8)
+RAW = {
+    m: st.fractions(min_value=-20, max_value=20, max_denominator=9)
+    if m.modulus is None else st.integers(0, m.modulus - 1)
+    for m in MEADOWS
+}
+
+
+def variables_in_order(t):
+    """The variable names of t, left to right as printed."""
+    if isinstance(t, QVar):
+        return [t.name]
+    if isinstance(t, (QAdd, QMul)):
+        return variables_in_order(t.lhs) + variables_in_order(t.rhs)
+    if isinstance(t, (QNeg, QInv)):
+        return variables_in_order(t.arg)
+    return []
 
 
 class TestOperations:
@@ -147,6 +218,104 @@ class TestEvalQuantity:
         assert quantity_literal(Fraction(2)) == QConst(Fraction(2))
 
 
+class TestColumnEvaluation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_eval_quantity_agrees_with_a_plain_evaluator(self, data):
+        m = data.draw(st.sampled_from(MEADOWS))
+        t = data.draw(QTERMS)
+        raw = {x: data.draw(RAW[m]) for x in "uvw"}
+        env = {x: MeadowValue(m, v) for x, v in raw.items()}
+        got = eval_quantity(t, env, m)
+        assert got.meadow is m
+        assert got.value == reference(t, raw, m.modulus)
+        # canonical: a Fraction in Q0, a residue in [0, p) in Z/pZ
+        if m.modulus is None:
+            assert type(got.value) is Fraction
+        else:
+            assert type(got.value) is int and 0 <= got.value < m.modulus
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_walk_over_n_assignments_is_n_evaluations(self, data):
+        m = data.draw(st.sampled_from(MEADOWS))
+        t = data.draw(QTERMS)
+        rows = data.draw(st.lists(st.tuples(*[RAW[m]] * 3), max_size=12))
+        columns = {x: [row[i] for row in rows] for i, x in enumerate("uvw")}
+        one_walk = meadow._columns(t, columns.__getitem__, m, len(rows))
+        singly = [
+            eval_quantity(t, {x: MeadowValue(m, v) for x, v in zip("uvw", row)}, m).value
+            for row in rows
+        ]
+        assert one_walk == singly
+
+    @settings(max_examples=100, deadline=None)
+    @given(quantity_terms(6, names="abcde"), st.sets(st.sampled_from("abcde")))
+    def test_the_first_unbound_variable_is_named(self, t, bound):
+        env = {x: F3.one() for x in bound}
+        unbound = [x for x in variables_in_order(t) if x not in bound]
+        if not unbound:
+            eval_quantity(t, env, F3)
+            return
+        with pytest.raises(UnboundVariable) as exc:
+            eval_quantity(t, env, F3)
+        assert exc.value.args == (unbound[0],)
+
+    def test_a_foreign_value_is_rejected_only_where_it_is_used(self):
+        env = {"u": F2.one(), "v": F3.one()}
+        with pytest.raises(MixedMeadow, match="value from F2 used in F3"):
+            eval_quantity(QAdd(QVar("v"), QVar("u")), env, F3)
+        assert eval_quantity(QAdd(QVar("v"), QOne()), env, F3) == F3.from_int(2)
+        assert eval_quantity(QOne(), env, F3) == F3.one()
+
+    def test_a_non_quantity_node_is_a_type_error(self):
+        with pytest.raises(TypeError, match=r"^not a quantity term: Action\(name='a'\)$"):
+            eval_quantity(Action("a"), {}, F3)
+        with pytest.raises(TypeError, match=r"^not a quantity term: 'x'$"):
+            eval_quantity(QAdd(QOne(), "x"), {}, F3)
+
+    def test_a_meadow_is_one_object_per_modulus(self):
+        assert MeadowKind.prime_field(3) is F3
+        assert MeadowKind.from_name("Q0") is Q0
+        assert MeadowKind(1) is TRIVIAL
+
+
+class TestDeepQuantities:
+    """A quantity of any depth is evaluated on the walk's own stack."""
+
+    @staticmethod
+    def ones(n):
+        return "[" + " + ".join(["1"] * n) + "] -> a"
+
+    def test_a_100k_deep_negation(self):
+        t = QOne()
+        for _ in range(100_000):
+            t = QNeg(t)
+        assert eval_quantity(t, {}, F3) == F3.one()
+        assert eval_quantity(QNeg(t), {}, Q0) == Q0.from_int(-1)
+
+    def test_normalize_a_guard_of_100k_ones(self, ctx):
+        # the tree the parser builds for [1 + ... + 1] -> a, built directly
+        total = QOne()
+        for n in range(2, 100_001):
+            total = QAdd(total, QOne())
+            if n == 99_999:
+                t99999 = Guard(total, Action("a"))
+        # 100 000 = 1 and 99 999 = 0 in F3: the guard is off, then on
+        t100000 = Guard(total, Action("a"))
+        assert normalize(t100000, ctx).is_deadlock
+        assert equal_terms(t100000, Deadlock(), ctx)
+        assert str(normalize(t99999, ctx)) == "a"
+        assert equal_terms(t99999, Action("a"), ctx)
+
+    def test_the_cli_on_a_guard_of_100k_ones(self, sample_spec_path, capsys):
+        # in-process: the term is longer than the OS allows for one argument
+        assert main(["normalize", "--spec", sample_spec_path, self.ones(100_000)]) == 0
+        assert capsys.readouterr().out == "delta\n"
+        assert main(["equiv", "--spec", sample_spec_path, self.ones(99_999), "a"]) == 0
+        assert capsys.readouterr().out.startswith("equivalent\n")
+
+
 class TestMeadowAxioms:
     def test_exhaustive_f2_f3(self):
         for m in (F2, F3):
@@ -183,6 +352,35 @@ class TestMeadowAxioms:
         assert {r["status"] for r in d["axioms"]} == {"pass"}
         assert [r["id"] for r in d["axioms"]] == [
             f"t1.{i:02d}" for i in range(1, 11)
+        ]
+
+    @pytest.mark.parametrize("m, mode, samples, seed", [(F3, "exhaustive", 0, 0), (Q0, "random", 40, 3)])
+    def test_a_false_equation_reports_its_first_counterexample(self, monkeypatch, m, mode, samples, seed):
+        u, v, w = QVar("u"), QVar("v"), QVar("w")
+        axioms = [
+            ("t1.02", QAdd(u, v), QAdd(v, u)),
+            ("bad1", QAdd(u, v), u),
+            ("bad2", QMul(QInv(u), w), QNeg(w)),
+        ]
+        monkeypatch.setattr(meadow, "MEADOW_AXIOMS", axioms)
+        report = check_meadow_axioms(m, mode, samples, seed)
+        # one assignment at a time, as the suite ran before it took columns
+        for (_, lhs, rhs), r in zip(axioms, report.axioms):
+            want = ("pass", None, 0)
+            for i, uvw in enumerate(meadow._sample_assignments(m, mode, samples, seed)):
+                env = dict(zip("uvw", uvw))
+                if eval_quantity(lhs, env, m) != eval_quantity(rhs, env, m):
+                    want = ("fail", {x: str(a) for x, a in env.items()}, i + 1)
+                    break
+                want = ("pass", None, i + 1)
+            assert (r.status, r.counterexample, r.checked) == want
+        assert [r.status for r in report.axioms] == ["pass", "fail", "fail"]
+
+    def test_random_draws_on_a_finite_meadow(self):
+        # the draws of the parent commit, which built the carrier per sample
+        drawn = meadow._sample_assignments(F17, "random", 6, 1)
+        assert [tuple(a.value for a in uvw) for uvw in drawn] == [
+            (4, 2, 8), (3, 15, 14), (15, 12, 6), (3, 15, 0), (12, 13, 0), (14, 8, 7)
         ]
 
     def test_random_sampler_is_deterministic(self):

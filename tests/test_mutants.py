@@ -1,22 +1,29 @@
-"""A mutation table for the head-normal-form rules of `normalize`.
+"""A mutation table for the head-normal-form rules of `normalize` and the
+meadow operations behind guards and data.
 
 Each entry edits one rule in the source text of `normalize._hnf`,
-`_left_merge` or `_comm_merge`, compiles the edited copy in memory in
-`normalize`'s namespace (the source file is never written), and binds it,
-with `monkeypatch`, wherever `normalize` and `lts` look the function up.
-The ACP, enriched and derived axiom suites then run on `default_context()`
-at 40 samples, seed 0. A mutant is killed when an axiom fails or the two
-routes of the dual check disagree (`OracleDisagreement`).
+`_left_merge` or `_comm_merge`, or of `meadow._columns` or
+`eval_quantity`, compiles the edited copy in memory in its module's
+namespace (the source file is never written), and binds it, with
+`monkeypatch`, wherever `normalize`, `lts`, `meadow` and the package look
+the function up. The ACP, enriched and derived axiom suites then run on
+`default_context()` at 40 samples, seed 0. A mutant is killed when an axiom
+fails or the two routes of the dual check disagree (`OracleDisagreement`).
+A meadow mutant is also killed by the meadow suites (F3 exhaustive, Q0 at 40
+random samples) or by a direct check of a computed quantity.
 
 Both routes step with `_hnf`, so today every kill is an axiom failure.
 """
 
 import importlib
 import inspect
+from fractions import Fraction
 
 import pytest
 
-from meadowacp import default_context, lts, parse_term
+import meadowacp
+from meadowacp import MeadowKind, MixedMeadow, QAdd, QConst, QInv, QNeg, QOne, QVar, QZero
+from meadowacp import default_context, lts, meadow, parse_term
 from meadowacp.axioms import (
     OracleDisagreement,
     check_acp_axioms,
@@ -67,15 +74,27 @@ UNEVALUATED = ("_hnf", "data action arguments stay unevaluated",
 NOOP = ("_hnf", "no change", "elif isinstance(t, Alt):", "elif isinstance(t, Alt):  # no-op")
 
 
-def mutate(monkeypatch, name: str, old: str, new: str) -> None:
-    """Bind a copy of normalize.<name> with old replaced by new."""
-    src = inspect.getsource(getattr(normalize, name))
+# (function of `meadow`, rule broken, text of the rule, its replacement)
+MEADOW_KILLED = [
+    ("_columns", "the inverse of zero is one", "if x else 0", "if x else 1"),
+    ("_columns", "a Z/pZ sum is not reduced", "(x + y) % p", "x + y"),
+    ("_columns", "a negation is not reduced", "-x % p", "-x"),
+    ("eval_quantity", "a variable's meadow is not checked", "_require_member(v, m)", "pass"),
+]
+
+MEADOW_NOOP = ("_columns", "no change", "p = m.modulus", "p = m.modulus  # no-op")
+
+
+def mutate(monkeypatch, name: str, old: str, new: str, module=normalize) -> None:
+    """Bind a copy of module.<name> with old replaced by new."""
+    fn = getattr(module, name)
+    src = inspect.getsource(fn)
     assert src.count(old) == 1, f"{old!r} does not occur once in {name}"
     copy: dict = {}
-    exec(compile(src.replace(old, new), normalize.__file__, "exec"), vars(normalize), copy)
-    for module in (normalize, lts):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, copy[name])
+    exec(compile(src.replace(old, new), module.__file__, "exec"), vars(module), copy)
+    for owner in (normalize, lts, meadow, meadowacp):
+        if getattr(owner, name, None) is fn:
+            monkeypatch.setattr(owner, name, copy[name])
 
 
 def killed() -> bool:
@@ -109,6 +128,45 @@ def test_the_arity_mutant_is_killed_under_the_guard_chain_check(monkeypatch):
     assert normalize.normalize(t, ctx).is_deadlock
     with pytest.raises(ValueError):
         normalize.normalize(t, ctx, debug_guard_chain=True)
+
+
+F2, F3, Q0 = MeadowKind.prime_field(2), MeadowKind.prime_field(3), MeadowKind.rationals()
+
+
+def quantities_evaluate() -> bool:
+    """Direct checks of computed quantities: canonical residues, the total
+    inverse, and a variable's meadow."""
+    ev = meadow.eval_quantity
+    try:
+        ev(QVar("u"), {"u": F2.one()}, F3)
+        return False
+    except MixedMeadow:
+        pass
+    return (
+        ev(QNeg(QOne()), {}, F3).value == 2
+        and ev(QAdd(QConst(Fraction(2)), QConst(Fraction(2))), {}, F3).value == 1
+        and ev(QInv(QZero()), {}, F3).value == 0
+    )
+
+
+def meadow_killed() -> bool:
+    for m, mode in ((F3, "exhaustive"), (Q0, "random")):
+        if meadow.check_meadow_axioms(m, mode, samples=40, seed=0).failures():
+            return True
+    return killed() or not quantities_evaluate()
+
+
+@pytest.mark.parametrize("name, rule, old, new", MEADOW_KILLED, ids=[m[1] for m in MEADOW_KILLED])
+def test_meadow_mutant_is_killed(monkeypatch, name, rule, old, new):
+    assert quantities_evaluate()
+    mutate(monkeypatch, name, old, new, module=meadow)
+    assert meadow_killed(), f"{name}: {rule} survives"
+
+
+def test_a_meadow_noop_survives(monkeypatch):
+    name, _, old, new = MEADOW_NOOP
+    mutate(monkeypatch, name, old, new, module=meadow)
+    assert not meadow_killed()
 
 
 def data_arguments_are_evaluated() -> bool:
