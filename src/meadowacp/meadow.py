@@ -453,36 +453,45 @@ def eval_quantity(
 
 def pretty_quantity(t: QuantityTerm) -> str:
     """Render a quantity term in the concrete syntax (round-trips via the parser)."""
-    return _pq(t, 0)
+    return unfold(t, _qlayout)
+
+
+def unfold(t, layout) -> str:
+    """The text of t, where layout(u, level) gives the text of a node u at a
+    precedence level in order, as strings and the (subterm, level) pairs
+    that print in their place.  Produced from an explicit stack, so deep
+    terms do not exhaust the interpreter's."""
+    pieces = []
+    stack: list = [(t, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            pieces.append(item)
+        else:
+            stack.extend(reversed(layout(*item)))
+    return "".join(pieces)
 
 
 # precedence levels: 0 additive, 1 multiplicative, 2 unary, 3 atom
-def _pq(t: QuantityTerm, level: int) -> str:
-    if isinstance(t, QZero):
-        return "0"
-    if isinstance(t, QOne):
-        return "1"
-    if isinstance(t, QConst):
+def _qlayout(t: QuantityTerm, level: int) -> tuple:
+    if isinstance(t, (QZero, QOne, QConst)):
         s = str(t.value)
-        if t.value.denominator != 1 and level > 1:
-            return f"({s})"
-        if t.value < 0 and level > 0:
-            return f"({s})"
-        return s
+        if (t.value.denominator != 1 and level > 1) or (t.value < 0 and level > 0):
+            return (f"({s})",)
+        return (s,)
     if isinstance(t, QVar):
-        return t.name
-    if isinstance(t, QAdd):
-        s = f"{_pq(t.lhs, 0)} + {_pq(t.rhs, 1)}"
-        return f"({s})" if level > 0 else s
-    if isinstance(t, QMul):
-        s = f"{_pq(t.lhs, 1)} * {_pq(t.rhs, 2)}"
-        return f"({s})" if level > 1 else s
-    if isinstance(t, QNeg):
-        s = f"-{_pq(t.arg, 2)}"
-        return f"({s})" if level > 2 else s
+        return (t.name,)
     if isinstance(t, QInv):
-        return f"inv({_pq(t.arg, 0)})"
-    raise TypeError(f"not a quantity term: {t!r}")
+        return ("inv(", (t.arg, 0), ")")
+    if isinstance(t, QAdd):
+        parts, bracket = ((t.lhs, 0), " + ", (t.rhs, 1)), level > 0
+    elif isinstance(t, QMul):
+        parts, bracket = ((t.lhs, 1), " * ", (t.rhs, 2)), level > 1
+    elif isinstance(t, QNeg):
+        parts, bracket = ("-", (t.arg, 2)), level > 2
+    else:
+        raise TypeError(f"not a quantity term: {t!r}")
+    return ("(", *parts, ")") if bracket else parts
 
 
 # ---------------------------------------------------------------------------

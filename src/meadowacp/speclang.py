@@ -21,9 +21,8 @@ parentheses.  A guard's body is a factor, so "[q] -> P . Q" is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .meadow import (
     MeadowError,
@@ -37,7 +36,8 @@ from .meadow import (
     QVar,
     QZero,
     QuantityTerm,
-    pretty_quantity,
+    _qlayout,
+    unfold,
 )
 from .terms import (
     Action,
@@ -67,84 +67,71 @@ class SpecError(Exception):
         super().__init__(f"{filename}:{line}:{col}: {message}")
 
 
-@dataclass
-class Token:
-    kind: str  # "ident" | "int" | "sym" | "eof"
-    text: str
-    line: int
-    col: int
-
-
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<int>\d+)
   | (?P<sym>\|\||\|_|->|[;,(){}=+.\[\]*/|-])
+  | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-def _tokenize(src: str, filename: str) -> List[Token]:
-    tokens: List[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(src):
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise SpecError(f"unexpected character {src[pos]!r}", line, col, filename)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
+# binary operators and prefixes as (precedence, constructor); a prefix's
+# constructor takes the placeholder it put below its operand first
+_PROC_OPS = {"+": (0, Alt), "||": (1, Par), "|_": (1, LeftMerge), "|": (1, CommMerge), ".": (2, Seq)}
+_QTY_OPS = {
+    "+": (0, QAdd), "-": (0, lambda p, q: QAdd(p, QNeg(q))),
+    "*": (1, QMul), "/": (1, lambda p, q: QMul(p, QInv(q))),
+}
+_NEG = (2, lambda _, q: QNeg(q))
+_GUARD = (3, Guard)
+# the constructors of the groups that build a node
+_INV = lambda _, q: QInv(q)
+_DATA = lambda name, *args: DataAction(name, args)
 
 
 class _Parser:
+    """Tokens are (kind, text, offset) tuples, where a symbol's kind is its
+    own text; the whole input is scanned first, so that a bad character is
+    reported before any syntax error."""
+
     def __init__(self, src: str, filename: str, ctx: Optional[SpecContext] = None):
-        self.tokens = _tokenize(src, filename)
+        self.src, self.filename, self.ctx = src, filename, ctx
+        self.tokens = [
+            (m.group() if kind == "sym" else kind, m.group(), m.start())
+            for m in _TOKEN_RE.finditer(src) if (kind := m.lastgroup) != "ws"
+        ]
+        for tok in self.tokens:
+            if tok[0] == "bad":
+                self.error(f"unexpected character {tok[1]!r}", tok)
+        self.tokens.append(("eof", "", len(src)))
         self.pos = 0
-        self.filename = filename
-        self.ctx = ctx
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    def line_col(self, tok) -> Tuple[int, int]:
+        offset = tok[2]
+        return self.src.count("\n", 0, offset) + 1, offset - self.src.rfind("\n", 0, offset)
 
-    def error(self, message: str, tok: Optional[Token] = None):
-        tok = tok or self.cur
-        raise SpecError(message, tok.line, tok.col, self.filename)
+    def error(self, message: str, tok=None):
+        raise SpecError(message, *self.line_col(tok or self.tokens[self.pos]), self.filename)
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def take(self, kind: str) -> bool:
+        """Consume the current token if it is of this kind."""
+        if self.tokens[self.pos][0] != kind:
+            return False
+        self.pos += 1
+        return True
+
+    def expect(self, kind: str):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            wanted = "a name" if kind == "ident" else repr(kind)
+            self.error(f"expected {wanted}, found {tok[1]!r}")
         self.pos += 1
         return tok
-
-    def at_sym(self, *texts: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.text in texts
-
-    def at_ident(self, *names: str) -> bool:
-        return self.cur.kind == "ident" and (not names or self.cur.text in names)
-
-    def eat_sym(self, text: str) -> Token:
-        if not self.at_sym(text):
-            self.error(f"expected {text!r}, found {self.cur.text!r}")
-        return self.advance()
-
-    def eat_ident(self) -> Token:
-        if self.cur.kind != "ident":
-            self.error(f"expected a name, found {self.cur.text!r}")
-        return self.advance()
 
     # -- spec declarations -------------------------------------------------
 
@@ -155,48 +142,50 @@ class _Parser:
         definitions = {}
         sets = {}
         self.ctx = SpecContext(frozenset(), CommSpec(), meadow, definitions, sets)
-        while not self.cur.kind == "eof":
-            tok = self.eat_ident()
-            if tok.text == "act":
+        while self.tokens[self.pos][0] != "eof":
+            tok = self.expect("ident")
+            keyword = tok[1]
+            if keyword == "act":
                 taken = {"a set": sets, "a process": definitions}
                 for name_tok in self._name_list():
                     self._no_clash(name_tok, "action", taken)
-                    alphabet.add(name_tok.text)
-            elif tok.text == "comm":
+                    alphabet.add(name_tok[1])
+            elif keyword == "comm":
                 a = self._comm_name(alphabet)
-                self.eat_sym("|")
+                self.expect("|")
                 b = self._comm_name(alphabet)
-                self.eat_sym("=")
+                self.expect("=")
                 c = self._comm_name(alphabet)
                 old = comm_pairs.get((a, b), comm_pairs.get((b, a)))
                 if old not in (None, c):
                     self.error(f"communication {a} | {b} already declared as {old!r}", tok)
                 comm_pairs[(a, b)] = c
-            elif tok.text == "meadow":
+            elif keyword == "meadow":
                 if meadow_tok is not None:
-                    self.error(f"meadow already declared at line {meadow_tok.line}", tok)
+                    line = self.line_col(meadow_tok)[0]
+                    self.error(f"meadow already declared at line {line}", tok)
                 meadow, meadow_tok = self._meadow_decl(), tok
-            elif tok.text == "set":
-                name_tok = self.eat_ident()
-                if name_tok.text in sets:
-                    self.error(f"set {name_tok.text!r} already defined", name_tok)
+            elif keyword == "set":
+                name_tok = self.expect("ident")
+                if name_tok[1] in sets:
+                    self.error(f"set {name_tok[1]!r} already defined", name_tok)
                 self._no_clash(name_tok, "set", {"an action": alphabet})
-                self.eat_sym("=")
-                sets[name_tok.text] = frozenset(self._name_set())
-            elif tok.text == "proc":
-                name_tok = self.eat_ident()
-                if name_tok.text in definitions:
-                    self.error(f"process {name_tok.text!r} already defined", name_tok)
+                self.expect("=")
+                sets[name_tok[1]] = frozenset(self._name_set())
+            elif keyword == "proc":
+                name_tok = self.expect("ident")
+                if name_tok[1] in definitions:
+                    self.error(f"process {name_tok[1]!r} already defined", name_tok)
                 self._no_clash(name_tok, "process", {"an action": alphabet})
-                self.eat_sym("=")
+                self.expect("=")
                 self.ctx = SpecContext(
                     frozenset(alphabet), CommSpec.symmetric(comm_pairs), meadow,
                     definitions, sets,
                 )
-                definitions[name_tok.text] = self.parse_pexpr()
+                definitions[name_tok[1]] = self.parse_pexpr()
             else:
-                self.error(f"unknown declaration {tok.text!r}", tok)
-            self.eat_sym(";")
+                self.error(f"unknown declaration {keyword!r}", tok)
+            self.expect(";")
         ctx = SpecContext(
             frozenset(alphabet), CommSpec.symmetric(comm_pairs), meadow,
             definitions, sets,
@@ -211,176 +200,160 @@ class _Parser:
         return ctx
 
     def _comm_name(self, alphabet) -> str:
-        tok = self.eat_ident()
-        if tok.text not in alphabet:
-            self.error(f"unknown action {tok.text!r} in comm declaration", tok)
-        return tok.text
+        tok = self.expect("ident")
+        if tok[1] not in alphabet:
+            self.error(f"unknown action {tok[1]!r} in comm declaration", tok)
+        return tok[1]
 
     def _meadow_decl(self) -> MeadowKind:
-        tok = self.eat_ident()
-        text = tok.text
-        if text in ("F", "f") and self.cur.kind == "int":
-            text += self.advance().text
+        tok = self.expect("ident")
+        text = tok[1]
+        if text in ("F", "f") and self.tokens[self.pos][0] == "int":
+            text += self.expect("int")[1]
         try:
             return MeadowKind.from_name(text)
         except MeadowError as exc:
             self.error(str(exc), tok)
 
-    def _no_clash(self, tok: Token, kind: str, taken: dict) -> None:
+    def _no_clash(self, tok, kind: str, taken: dict) -> None:
         """An action shares its name with no set and no process: where both
         readings parse, the one looked up first would hide the other."""
         for other, names in taken.items():
-            if tok.text in names:
-                self.error(f"{kind} name {tok.text!r} clashes with {other}", tok)
+            if tok[1] in names:
+                self.error(f"{kind} name {tok[1]!r} clashes with {other}", tok)
 
-    def _name_list(self) -> List[Token]:
-        names = [self.eat_ident()]
-        while self.at_sym(","):
-            self.advance()
-            names.append(self.eat_ident())
+    def _name_list(self) -> list:
+        names = [self.expect("ident")]
+        while self.take(","):
+            names.append(self.expect("ident"))
         return names
 
     def _name_set(self) -> set:
         """`{a, b}`, or `{}` for the empty set."""
-        self.eat_sym("{")
-        names = set() if self.at_sym("}") else {tok.text for tok in self._name_list()}
-        self.eat_sym("}")
+        self.expect("{")
+        names = set() if self.tokens[self.pos][0] == "}" else {t[1] for t in self._name_list()}
+        self.expect("}")
         return names
 
-    # -- process expressions -----------------------------------------------
-
-    def parse_pexpr(self) -> ProcessTerm:
-        term = self._parse_par()
-        while self.at_sym("+"):
-            self.advance()
-            term = Alt(term, self._parse_par())
-        return term
-
-    _PAR_OPS = {"||": Par, "|_": LeftMerge, "|": CommMerge}
-
-    def _parse_par(self) -> ProcessTerm:
-        term = self._parse_seq()
-        op_seen = None
-        while self.at_sym("||", "|_", "|"):
-            tok = self.advance()
-            if op_seen is not None and tok.text != op_seen:
-                self.error(
-                    f"mixing {op_seen!r} and {tok.text!r} requires parentheses", tok
-                )
-            op_seen = tok.text
-            term = self._PAR_OPS[tok.text](term, self._parse_seq())
-        return term
-
-    def _parse_seq(self) -> ProcessTerm:
-        term = self._parse_pfac()
-        while self.at_sym("."):
-            self.advance()
-            term = Seq(term, self._parse_pfac())
-        return term
-
-    def _parse_pfac(self) -> ProcessTerm:
-        if self.at_sym("("):
-            self.advance()
-            term = self.parse_pexpr()
-            self.eat_sym(")")
-            return term
-        if self.at_sym("["):
-            self.advance()
-            cond = self.parse_qexpr()
-            self.eat_sym("]")
-            self.eat_sym("->")
-            return Guard(cond, self._parse_pfac())
-        if self.at_ident("delta"):
-            self.advance()
-            return Deadlock()
-        if self.at_ident("encap"):
-            self.advance()
-            self.eat_sym("(")
-            hide = self._encap_set()
-            self.eat_sym(",")
-            body = self.parse_pexpr()
-            self.eat_sym(")")
-            return Encap(hide, body)
-        tok = self.eat_ident()
-        if self.at_sym("("):
-            if tok.text not in self.ctx.alphabet:
-                self.error(f"unknown action {tok.text!r}", tok)
-            self.advance()
-            args: Tuple[QuantityTerm, ...] = ()
-            if not self.at_sym(")"):
-                parts = [self.parse_qexpr()]
-                while self.at_sym(","):
-                    self.advance()
-                    parts.append(self.parse_qexpr())
-                args = tuple(parts)
-            self.eat_sym(")")
-            return DataAction(tok.text, args)
-        if tok.text in self.ctx.alphabet:
-            return Action(tok.text)
-        if tok.text in self.ctx.definitions:
-            return ProcVar(tok.text)
-        self.error(f"unknown action or process {tok.text!r}", tok)
-
     def _encap_set(self):
-        if self.at_sym("{"):
+        if self.tokens[self.pos][0] == "{":
             names = self._name_set()
             extra = names - self.ctx.alphabet
             if extra:
                 self.error(f"encapsulation set mentions unknown actions {sorted(extra)}")
             return frozenset(names)
-        # an action before a set, as _parse_pfac reads an action before a process
-        tok = self.eat_ident()
-        if tok.text in self.ctx.alphabet:
-            return frozenset({tok.text})
-        if tok.text in self.ctx.sets:
-            return self.ctx.sets[tok.text]
-        self.error(f"unknown set or action {tok.text!r}", tok)
+        # an action before a set, as parse_pexpr reads an action before a process
+        tok = self.expect("ident")
+        if tok[1] in self.ctx.alphabet:
+            return frozenset({tok[1]})
+        if tok[1] in self.ctx.sets:
+            return self.ctx.sets[tok[1]]
+        self.error(f"unknown set or action {tok[1]!r}", tok)
 
-    # -- quantity expressions ----------------------------------------------
+    # -- expressions of both sorts ------------------------------------------
 
-    def parse_qexpr(self) -> QuantityTerm:
-        term = self._parse_qmul()
-        while self.at_sym("+", "-"):
-            op = self.advance().text
-            rhs = self._parse_qmul()
-            term = QAdd(term, QNeg(rhs) if op == "-" else rhs)
-        return term
+    def parse_pexpr(self) -> ProcessTerm:
+        """One process expression, up to the first token that cannot continue
+        it, by operator precedence on explicit stacks (a shunting yard).
 
-    def _parse_qmul(self) -> QuantityTerm:
-        term = self._parse_qunary()
-        while self.at_sym("*", "/"):
-            op = self.advance().text
-            rhs = self._parse_qunary()
-            term = QMul(term, QInv(rhs) if op == "/" else rhs)
-        return term
-
-    def _parse_qunary(self) -> QuantityTerm:
-        if self.at_sym("-"):
-            self.advance()
-            return QNeg(self._parse_qunary())
-        return self._parse_qatom()
-
-    def _parse_qatom(self) -> QuantityTerm:
-        if self.at_sym("("):
-            self.advance()
-            term = self.parse_qexpr()
-            self.eat_sym(")")
-            return term
-        if self.cur.kind == "int":
-            n = int(self.advance().text)
-            if n == 0:
-                return QZero()
-            if n == 1:
-                return QOne()
-            return QConst(Fraction(n))
-        if self.at_ident("inv"):
-            self.advance()
-            self.eat_sym("(")
-            term = self.parse_qexpr()
-            self.eat_sym(")")
-            return QInv(term)
-        tok = self.eat_ident()
-        return QVar(tok.text)
+        In operand position come prefixes and opening brackets, then one
+        atom; in operator position a binary operator, or the close of the
+        innermost group.  ``vals`` holds operands, and every constructor
+        takes two: a prefix or group first puts its own left one there (a
+        data action's name, an encap's set, None for "-" and "inv("), and a
+        guard's condition stays there when its "]" closes.  ``ops`` holds operators
+        and prefixes as (precedence, constructor), and each open group as
+        [-1, its closer, whether it holds quantities, its constructor, where
+        its operands start in ``vals``, the parallel operator seen in it
+        since its last "+", the enclosing group].  A group is "(", "[" (a
+        guard's condition), "encap(", "inv(" or a data action's arguments.
+        """
+        tokens, ctx = self.tokens, self.ctx
+        vals: list = []
+        group = [-1, None, False, None, 0, None, None]  # the top level
+        ops: list = [group]
+        operand = True
+        while True:
+            kind, text, _ = tok = tokens[self.pos]
+            self.pos += 1
+            quantity = group[2]
+            if operand:
+                closer = make = None
+                if kind == "(":
+                    closer = ")"
+                elif kind == "[" and not quantity:
+                    closer, quantity = "]", True
+                elif kind == "-" and quantity:
+                    vals.append(None)
+                    ops.append(_NEG)
+                    continue
+                elif kind == "int" and quantity:
+                    n = int(text)
+                    vals.append(QZero() if n == 0 else QOne() if n == 1 else QConst(Fraction(n)))
+                elif kind != "ident":
+                    self.error(f"expected a name, found {text!r}", tok)
+                elif quantity and text == "inv":
+                    self.expect("(")
+                    vals.append(None)
+                    closer, make = ")", _INV
+                elif quantity:
+                    vals.append(QVar(text))
+                elif text == "delta":
+                    vals.append(Deadlock())
+                elif text == "encap":
+                    self.expect("(")
+                    vals.append(self._encap_set())
+                    self.expect(",")
+                    closer, make = ")", Encap
+                elif self.take("("):
+                    if text not in ctx.alphabet:
+                        self.error(f"unknown action {text!r}", tok)
+                    vals.append(text)
+                    if self.take(")"):
+                        vals[-1] = DataAction(text, ())
+                    else:
+                        closer, make, quantity = ")", _DATA, True
+                elif text in ctx.alphabet:
+                    vals.append(Action(text))
+                elif text in ctx.definitions:
+                    vals.append(ProcVar(text))
+                else:
+                    self.error(f"unknown action or process {text!r}", tok)
+                if closer is None:
+                    operand = False
+                else:
+                    group = [-1, closer, quantity, make, len(vals), None, group]
+                    ops.append(group)
+                continue
+            op = (_QTY_OPS if quantity else _PROC_OPS).get(kind)
+            prec = 0 if op is None else op[0]
+            if op is not None and not quantity and prec < 2:
+                if prec and group[5] not in (None, kind):
+                    self.error(f"mixing {group[5]!r} and {kind!r} requires parentheses", tok)
+                group[5] = kind if prec else None
+            while ops[-1][0] >= prec:
+                rhs = vals.pop()
+                vals[-1] = ops.pop()[1](vals[-1], rhs)
+            if op is not None:
+                ops.append(op)
+                operand = True
+            elif kind == "," and group[3] is _DATA:
+                operand = True
+            elif kind == group[1]:
+                ops.pop()
+                if group[3] is not None:
+                    start = group[4] - 1
+                    vals[start:] = [group[3](*vals[start:])]
+                group = group[6]
+                if kind == "]":
+                    self.expect("->")
+                    ops.append(_GUARD)
+                    operand = True
+            elif group[1] is not None:
+                self.error(f"expected {group[1]!r}, found {text!r}", tok)
+            else:
+                self.pos -= 1
+                return vals[0]
 
 
 def parse_spec(src: str, filename: str = "<spec>") -> SpecContext:
@@ -392,8 +365,8 @@ def parse_term(src: str, ctx: SpecContext, filename: str = "<term>") -> ProcessT
     """Parse a standalone process expression against a specification context."""
     parser = _Parser(src, filename, ctx)
     term = parser.parse_pexpr()
-    if parser.cur.kind != "eof":
-        parser.error(f"trailing input {parser.cur.text!r}")
+    if not parser.take("eof"):
+        parser.error(f"trailing input {parser.tokens[parser.pos][1]!r}")
     return term
 
 
@@ -405,17 +378,21 @@ _PAR_SYMBOL = {Par: "||", LeftMerge: "|_", CommMerge: "|"}
 # levels: 0 alternative, 1 parallel, 2 sequential, 3 factor
 
 
-def _layout(t: ProcessTerm, level: int) -> tuple:
-    """How t prints at a level: its text in order, as strings and the
-    (subterm, level) pairs that print in their place."""
+def _layout(t, level: int) -> tuple:
+    """How a process or quantity term t prints at a level: its text in
+    order, as strings and the (subterm, level) pairs that print in their
+    place."""
+    if isinstance(t, QuantityTerm):
+        return _qlayout(t, level)
     if isinstance(t, Deadlock):
         return ("delta",)
     if isinstance(t, (Action, ProcVar)):
         return (t.name,)
     if isinstance(t, DataAction):
-        return (f"{t.name}({', '.join(pretty_quantity(q) for q in t.args)})",)
+        args = [piece for q in t.args for piece in (", ", (q, 0))]
+        return (f"{t.name}(", *args[1:], ")")
     if isinstance(t, Guard):
-        return (f"[{pretty_quantity(t.cond)}] -> ", (t.body, 3))
+        return ("[", (t.cond, 0), "] -> ", (t.body, 3))
     if isinstance(t, Encap):
         return (f"encap({{{', '.join(sorted(t.hide))}}}, ", (t.body, 0), ")")
     if isinstance(t, Alt):
@@ -431,17 +408,8 @@ def _layout(t: ProcessTerm, level: int) -> tuple:
 
 
 def pretty_term(t: ProcessTerm) -> str:
-    """The text of t, produced as pieces from an explicit stack, so deep
-    terms do not exhaust the interpreter's."""
-    pieces = []
-    stack: list = [(t, 0)]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            pieces.append(item)
-        else:
-            stack.extend(reversed(_layout(*item)))
-    return "".join(pieces)
+    """The text of t, produced as pieces from an explicit stack."""
+    return unfold(t, _layout)
 
 
 def pretty_prefix(t: ProcessTerm, limit: int, memo: dict) -> str:

@@ -33,6 +33,8 @@ from meadowacp import (
     meadow_mul,
     meadow_neg,
     normalize,
+    parse_term,
+    pretty_quantity,
     quantity_literal,
 )
 from meadowacp import meadow
@@ -314,6 +316,22 @@ class TestDeepQuantities:
         assert capsys.readouterr().out == "delta\n"
         assert main(["equiv", "--spec", sample_spec_path, self.ones(99_999), "a"]) == 0
         assert capsys.readouterr().out.startswith("equivalent\n")
+
+    def test_the_dot_graph_of_a_guard_of_100k_ones(self, sample_spec_path, capsys):
+        # a state's label is the first 60 characters of its text
+        assert main(["lts", "--spec", sample_spec_path, "--dot", self.ones(100_000)]) == 0
+        label = "[" + "1 + " * 14 + "..."
+        assert capsys.readouterr().out == (
+            f'digraph lts {{\n  rankdir=LR;\n  n0 [shape=circle, label="{label}"];\n}}\n'
+        )
+
+    def test_a_10000_deep_right_nested_sum(self, ctx):
+        src = "[" + "1 + (" * 9_998 + "1 + 1" + ")" * 9_998 + "] -> a"
+        t = parse_term(src, ctx)
+        assert pretty_quantity(t.cond) == src[1:-6]
+        # 10 000 = 1 in F3: the guard is off
+        assert normalize(t, ctx).is_deadlock
+        assert str(normalize(parse_term("[1 + 1 + " + src[1:], ctx), ctx)) == "a"
 
 
 class TestMeadowAxioms:

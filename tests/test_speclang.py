@@ -1,6 +1,7 @@
 """Tests for the .acpm specification parser and pretty printer."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -236,3 +237,31 @@ class TestRoundTrip:
     def test_a_5000_action_sequence_renders(self, ctx):
         src = " . ".join(["a", "b(1)"] * 2500)
         assert pretty_term(parse_term(src, ctx)) == src
+
+
+class TestDeepTerms:
+    """The parser and the printer keep their own stacks."""
+
+    N = 10_000
+
+    @pytest.mark.parametrize("src", [
+        "(" * N + "a" + ")" * N,
+        "[0] -> " * N + "a",
+        "encap({a}, " * N + "b" + ")" * N,
+        "a(" + "-" * N + "1)",
+        "a(" + "inv(" * N + "1" + ")" * N + ")",
+        "[" + "(" * N + "u" + ")" * N + "] -> a",
+    ], ids=["parentheses", "guards", "encaps", "minuses", "invs", "quantity parentheses"])
+    def test_10000_deep_nesting_parses_and_round_trips(self, ctx, src):
+        assert sys.getrecursionlimit() < self.N
+        t = parse_term(src, ctx)
+        assert parse_term(pretty_term(t), ctx) is t
+
+    def test_what_deep_nesting_parses_to(self, ctx):
+        n = self.N
+        assert parse_term("(" * n + "a" + ")" * n, ctx) is Action("a")
+        t = parse_term("a(" + "-" * n + "1)", ctx).args[0]
+        for _ in range(n):
+            t = t.arg
+        assert t is QOne()
+        assert pretty_term(parse_term("[0] -> " * 3 + "a", ctx)) == "[0] -> [0] -> [0] -> a"
