@@ -109,19 +109,13 @@ def _print_report(report) -> None:
 
 
 def cmd_axioms(args) -> int:
-    reports = []
+    ctx = _load_spec(args.spec) if args.spec else None
+    meadow = ctx.meadow if args.spec else MeadowKind.from_name(args.meadow)
+    mode = "exhaustive" if meadow.is_finite else "random"
+    reports = [check_meadow_axioms(meadow, mode, args.samples, args.seed)]
     if args.spec:
-        ctx = _load_spec(args.spec)
-        meadow = ctx.meadow
-        mode = "exhaustive" if meadow.is_finite else "random"
-        reports.append(check_meadow_axioms(meadow, mode, args.samples, args.seed))
-        reports.append(check_acp_axioms(ctx, args.samples, args.seed))
-        reports.append(check_enriched_axioms(ctx, args.samples, args.seed))
-        reports.append(check_derived(ctx, args.samples, args.seed))
-    else:
-        meadow = MeadowKind.from_name(args.meadow)
-        mode = "exhaustive" if meadow.is_finite else "random"
-        reports.append(check_meadow_axioms(meadow, mode, args.samples, args.seed))
+        for check in (check_acp_axioms, check_enriched_axioms, check_derived):
+            reports.append(check(ctx, args.samples, args.seed))
 
     failed = any(not r.passed(strict_separation=args.strict_separation) for r in reports)
     if args.json:

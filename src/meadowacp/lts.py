@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .normalize import Engine, _hnf
+from .speclang import pretty_prefix
 from .terms import ActionLiteral, ProcessTerm, SpecContext, closed_ground_term
 
 
@@ -123,8 +124,6 @@ def ordered_transitions(lts: LTS) -> List[Tuple[int, ActionLiteral, int]]:
 def to_dot(lts: LTS) -> str:
     """Graphviz rendering; the Done state is double-circled.  A state's
     label is its term's text, cut to 60 characters."""
-    from .speclang import pretty_prefix
-
     lines = ["digraph lts {", "  rankdir=LR;"]
     memo: dict = {}  # the memo of pretty_prefix, shared by the states
     for s in range(lts.num_states):

@@ -23,7 +23,6 @@ from .meadow import (
     QuantityTerm,
     QVar,
     interned,
-    memo_attr,
 )
 
 
@@ -116,11 +115,12 @@ class ActionLiteral:
     args: Tuple[MeadowValue, ...] = ()
 
     def sort_key(self):
-        return memo_attr(
-            self,
-            "_key",
-            lambda: (self.name, len(self.args), tuple(v.sort_key() for v in self.args)),
-        )
+        """(name, arity, argument values), kept in the instance's ``_key`` slot."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = (self.name, len(self.args), tuple(v.sort_key() for v in self.args))
+            object.__setattr__(self, "_key", key)
+        return key
 
     def term(self) -> ProcessTerm:
         """The process term denoting this literal: a plain action when 0-ary."""

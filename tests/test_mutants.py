@@ -10,7 +10,9 @@ the function up. The ACP, enriched and derived axiom suites then run on
 `default_context()` at 40 samples, seed 0. A mutant is killed when an axiom
 fails or the two routes of the dual check disagree (`OracleDisagreement`).
 A meadow mutant is also killed by the meadow suites (F3 exhaustive, Q0 at 40
-random samples) or by a direct check of a computed quantity.
+random samples), where a failed cancellation or general-inverse property
+counts too, or by a direct check of a computed quantity. Two more `_columns`
+mutants must each fail one of those two properties on F5 exhaustive.
 
 Both routes step with `_hnf`, so today every kill is an axiom failure.
 """
@@ -84,6 +86,14 @@ MEADOW_KILLED = [
 
 MEADOW_NOOP = ("_columns", "no change", "p = m.modulus", "p = m.modulus  # no-op")
 
+# (rule of `_columns` broken, its text, its replacement, the property of the
+# F5 exhaustive report that must fail); x^-1 = x holds in F3, so F3 cannot
+# show the first one
+MEADOW_PROPERTIES = [
+    ("the inverse is the identity", "pow(x, p - 2, p) if x else 0", "x", "general_inverse"),
+    ("a Z/pZ product is zero", "x * y % p", "0", "cancellation"),
+]
+
 
 def mutate(monkeypatch, name: str, old: str, new: str, module=normalize) -> None:
     """Bind a copy of module.<name> with old replaced by new."""
@@ -130,7 +140,8 @@ def test_the_arity_mutant_is_killed_under_the_guard_chain_check(monkeypatch):
         normalize.normalize(t, ctx, debug_guard_chain=True)
 
 
-F2, F3, Q0 = MeadowKind.prime_field(2), MeadowKind.prime_field(3), MeadowKind.rationals()
+F2, F3, F5 = MeadowKind.prime_field(2), MeadowKind.prime_field(3), MeadowKind.prime_field(5)
+Q0 = MeadowKind.rationals()
 
 
 def quantities_evaluate() -> bool:
@@ -151,7 +162,8 @@ def quantities_evaluate() -> bool:
 
 def meadow_killed() -> bool:
     for m, mode in ((F3, "exhaustive"), (Q0, "random")):
-        if meadow.check_meadow_axioms(m, mode, samples=40, seed=0).failures():
+        report = meadow.check_meadow_axioms(m, mode, samples=40, seed=0)
+        if report.failures() or "fail" in (report.cancellation, report.general_inverse):
             return True
     return killed() or not quantities_evaluate()
 
@@ -161,6 +173,14 @@ def test_meadow_mutant_is_killed(monkeypatch, name, rule, old, new):
     assert quantities_evaluate()
     mutate(monkeypatch, name, old, new, module=meadow)
     assert meadow_killed(), f"{name}: {rule} survives"
+
+
+@pytest.mark.parametrize("rule, old, new, prop", MEADOW_PROPERTIES,
+                         ids=[m[0] for m in MEADOW_PROPERTIES])
+def test_a_meadow_property_fails_on_its_mutant(monkeypatch, rule, old, new, prop):
+    assert getattr(meadow.check_meadow_axioms(F5), prop) == "pass"
+    mutate(monkeypatch, "_columns", old, new, module=meadow)
+    assert getattr(meadow.check_meadow_axioms(F5), prop) == "fail", f"{rule}: {prop} passes"
 
 
 def test_a_meadow_noop_survives(monkeypatch):
