@@ -8,6 +8,7 @@ the normalizer and the oracle exits with a distinct code (2).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional
@@ -127,7 +128,10 @@ def cmd_axioms(args) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args keeps
+    no state between calls, each call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="meadowacp",
         description="Normalization, equivalence checking and axiom "

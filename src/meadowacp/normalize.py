@@ -261,6 +261,15 @@ class Engine:
         hit = self._nf.get(t)
         if hit is not None:
             return hit
+        if isinstance(t, Seq) and isinstance(t.lhs, Seq):
+            # A5: (x . y) . z has the normal form of x . (y . z); stepping the
+            # whole left spine right-nested keeps a sequence linear, while
+            # the oracle still steps t as it is written
+            x, rest = t.lhs, t.rhs
+            while isinstance(x, Seq):
+                x, rest = x.lhs, Seq(x.rhs, rest)
+            out = self._nf[t] = self._normalize(Seq(x, rest))
+            return out
         summands = []
         for a, k in _hnf(self, t):
             cont = None if k is None else self._normalize(k)

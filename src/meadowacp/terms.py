@@ -127,9 +127,14 @@ class ActionLiteral:
         return data_action(self.name, self.args) if self.args else Action(self.name)
 
     def __str__(self) -> str:
-        if not self.args:
-            return self.name
-        return f"{self.name}({','.join(str(v) for v in self.args)})"
+        """The literal's text, kept in the instance's ``_str`` slot."""
+        text = self.__dict__.get("_str")
+        if text is None:
+            text = self.name
+            if self.args:
+                text += f"({','.join(str(v) for v in self.args)})"
+            object.__setattr__(self, "_str", text)
+        return text
 
 
 # ---------------------------------------------------------------------------

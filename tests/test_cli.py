@@ -280,3 +280,14 @@ class TestAxioms:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(SystemExit):
             main(["axioms", "--meadow", "f3", "--samples", "0"])
+
+
+def test_the_parser_is_reused_without_leaking_arguments(sample_spec_path, capsys):
+    assert main(["normalize", "--spec", sample_spec_path, "--json", "a || b"]) == 0
+    assert json.loads(capsys.readouterr().out)["normal_form"] == "a . b + b . a + c"
+    with pytest.raises(SystemExit) as exc:
+        main(["axioms"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["normalize", "--spec", sample_spec_path, "a . b"]) == 0
+    assert capsys.readouterr().out == "a . b\n"

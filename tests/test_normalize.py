@@ -35,6 +35,7 @@ from meadowacp import (
     equal_terms,
     normal_forms,
     normalize,
+    parse_spec,
     parse_term,
 )
 from meadowacp.lts import bisimilar_terms
@@ -334,6 +335,27 @@ class TestDeepTerms:
         assert str(normalize(right, ctx)) == f"{run} . b + {run} . c"
         assert equal_terms(left, right, ctx)
         assert not equal_terms(left, parse_term(f"{run} . b + {run} . a", ctx), ctx)
+
+
+class TestSequencesModuloAssociativity:
+    def test_a_varied_sequence_is_linear_in_the_normal_form_route(self, ctx):
+        rng = random.Random(18)
+        actions = [rng.choice((a, b, c)) for _ in range(400)]
+        left, right = actions[0], actions[-1]
+        for x in actions[1:]:
+            left = Seq(left, x)
+        for x in reversed(actions[:-1]):
+            right = Seq(x, right)
+        engine = Engine(ctx)
+        nf = engine.normalize(left)
+        assert len(engine.hnf_cache) <= 2 * len(actions) + 10
+        assert nf is normalize(right, ctx)
+        assert str(nf) == " . ".join(x.name for x in actions)
+
+    def test_the_oracle_steps_the_sequence_as_written(self):
+        ctx = parse_spec("act a, b, c, d;\n")
+        lts = build_lts(parse_term("a . b . c . d", ctx), ctx)
+        assert lts.terms[1] is Seq(Seq(Action("b"), Action("c")), Action("d"))
 
 
 class TestMergeRule:

@@ -321,6 +321,15 @@ class TestInterning:
             assert pickle.loads(pickle.dumps(node)) is node
         assert pickle.loads(pickle.dumps(nodes)) == nodes
 
+    def test_an_action_literal_keeps_its_text(self):
+        f3 = MeadowKind.prime_field(3)
+        lit = ActionLiteral("kept-text", (f3.from_int(2), f3.from_int(0)))
+        assert str(lit) == "kept-text(2,0)"
+        assert lit.__dict__["_str"] == "kept-text(2,0)"
+        assert pickle.loads(pickle.dumps(lit)) is lit
+        assert str(pickle.loads(pickle.dumps(lit))) == "kept-text(2,0)"
+        assert str(ActionLiteral("kept-text")) == "kept-text"
+
     def test_keywords_and_replace_intern_or_raise(self):
         a, b = Action("a"), Action("b")
         assert Seq(lhs=a, rhs=b) is Seq(a, rhs=b) is Seq(a, b)
