@@ -40,7 +40,6 @@ from .terms import (
     ActionLiteral,
     Alt,
     CommMerge,
-    CommSpec,
     DataAction,
     Deadlock,
     Encap,

@@ -160,11 +160,11 @@ def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
     """The hnf of x | y, given the hnfs of x and y: two head summands
     synchronize when gamma is defined on their names and their data are
     equal (t3.12); every other pair is dropped."""
-    gamma = engine.ctx.comm.gamma
+    comm = engine.ctx.comm
     acc: Hnf = {}
     for a1, k1 in left:
         for a2, k2 in right:
-            name = gamma(a1.name, a2.name)
+            name = comm.get((a1.name, a2.name))
             if name is None or len(a1.args) != len(a2.args):
                 continue
             residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)

@@ -28,22 +28,19 @@ from .meadow import (
     MeadowError,
     MeadowKind,
     QAdd,
-    QConst,
     QInv,
     QMul,
     QNeg,
-    QOne,
     QVar,
-    QZero,
     QuantityTerm,
     _qlayout,
+    quantity_literal,
     unfold,
 )
 from .terms import (
     Action,
     Alt,
     CommMerge,
-    CommSpec,
     DataAction,
     Deadlock,
     Encap,
@@ -136,72 +133,62 @@ class _Parser:
     # -- spec declarations -------------------------------------------------
 
     def parse_spec(self) -> SpecContext:
-        alphabet: set = set()
-        comm_pairs = {}
-        meadow, meadow_tok = MeadowKind.rationals(), None
-        definitions = {}
-        sets = {}
-        self.ctx = SpecContext(frozenset(), CommSpec(), meadow, definitions, sets)
+        """Fill one context as the declarations come, so that a proc body
+        sees only what was declared before it."""
+        ctx = self.ctx = SpecContext(frozenset())
+        meadow_tok = None
         while self.tokens[self.pos][0] != "eof":
             tok = self.expect("ident")
             keyword = tok[1]
             if keyword == "act":
-                taken = {"a set": sets, "a process": definitions}
+                taken = {"a set": ctx.sets, "a process": ctx.definitions}
                 for name_tok in self._name_list():
                     self._no_clash(name_tok, "action", taken)
-                    alphabet.add(name_tok[1])
+                    ctx.alphabet |= {name_tok[1]}
             elif keyword == "comm":
-                a = self._comm_name(alphabet)
+                a = self._comm_name()
                 self.expect("|")
-                b = self._comm_name(alphabet)
+                b = self._comm_name()
                 self.expect("=")
-                c = self._comm_name(alphabet)
-                old = comm_pairs.get((a, b), comm_pairs.get((b, a)))
+                c = self._comm_name()
+                old = ctx.comm.get((a, b))
                 if old not in (None, c):
                     self.error(f"communication {a} | {b} already declared as {old!r}", tok)
-                comm_pairs[(a, b)] = c
+                ctx.comm[(a, b)] = ctx.comm[(b, a)] = c
             elif keyword == "meadow":
                 if meadow_tok is not None:
                     line = self.line_col(meadow_tok)[0]
                     self.error(f"meadow already declared at line {line}", tok)
-                meadow, meadow_tok = self._meadow_decl(), tok
+                ctx.meadow, meadow_tok = self._meadow_decl(), tok
             elif keyword == "set":
                 name_tok = self.expect("ident")
-                if name_tok[1] in sets:
+                if name_tok[1] in ctx.sets:
                     self.error(f"set {name_tok[1]!r} already defined", name_tok)
-                self._no_clash(name_tok, "set", {"an action": alphabet})
+                self._no_clash(name_tok, "set", {"an action": ctx.alphabet})
                 self.expect("=")
-                sets[name_tok[1]] = frozenset(self._name_set())
+                ctx.sets[name_tok[1]] = frozenset(self._name_set())
             elif keyword == "proc":
                 name_tok = self.expect("ident")
-                if name_tok[1] in definitions:
+                if name_tok[1] in ctx.definitions:
                     self.error(f"process {name_tok[1]!r} already defined", name_tok)
-                self._no_clash(name_tok, "process", {"an action": alphabet})
+                self._no_clash(name_tok, "process", {"an action": ctx.alphabet})
                 self.expect("=")
-                self.ctx = SpecContext(
-                    frozenset(alphabet), CommSpec.symmetric(comm_pairs), meadow,
-                    definitions, sets,
-                )
-                definitions[name_tok[1]] = self.parse_pexpr()
+                ctx.definitions[name_tok[1]] = self.parse_pexpr()
             else:
                 self.error(f"unknown declaration {keyword!r}", tok)
             self.expect(";")
-        ctx = SpecContext(
-            frozenset(alphabet), CommSpec.symmetric(comm_pairs), meadow,
-            definitions, sets,
-        )
-        report = validate_comm_spec(ctx.comm, ctx.alphabet)
-        if not report.valid:
-            self.error("invalid communication function: " + "; ".join(report.violations))
-        for name, members in sets.items():
+        violations = validate_comm_spec(ctx.comm, ctx.alphabet)
+        if violations:
+            self.error("invalid communication function: " + "; ".join(violations))
+        for name, members in ctx.sets.items():
             extra = members - ctx.alphabet
             if extra:
                 self.error(f"set {name!r} mentions unknown actions {sorted(extra)}")
         return ctx
 
-    def _comm_name(self, alphabet) -> str:
+    def _comm_name(self) -> str:
         tok = self.expect("ident")
-        if tok[1] not in alphabet:
+        if tok[1] not in self.ctx.alphabet:
             self.error(f"unknown action {tok[1]!r} in comm declaration", tok)
         return tok[1]
 
@@ -288,8 +275,7 @@ class _Parser:
                     ops.append(_NEG)
                     continue
                 elif kind == "int" and quantity:
-                    n = int(text)
-                    vals.append(QZero() if n == 0 else QOne() if n == 1 else QConst(Fraction(n)))
+                    vals.append(quantity_literal(Fraction(int(text))))
                 elif kind != "ident":
                     self.error(f"expected a name, found {text!r}", tok)
                 elif quantity and text == "inv":

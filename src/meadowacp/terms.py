@@ -11,7 +11,7 @@ by the communication function gamma).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from .meadow import (
     MeadowKind,
@@ -138,89 +138,57 @@ class ActionLiteral:
 
 
 # ---------------------------------------------------------------------------
-# Communication function
+# Communication function and specification context
 
 
-class CommSpec:
-    """The communication function gamma as an explicit partial map.
+def validate_comm_spec(comm: Mapping[Tuple[str, str], str], alphabet: Iterable[str]) -> List[str]:
+    """The associativity violations of gamma over the alphabet.
 
-    Pairs absent from the map do not synchronize (their merge is deadlock).
-    The map is stored exactly as given; :func:`validate_comm_spec` reports
-    asymmetry and associativity-compatibility violations.
+    Undefined pairs are deadlock and deadlock is absorbing, so
+    gamma*(gamma*(a,b),c) must equal gamma*(a,gamma*(b,c)) for all triples.
     """
-
-    def __init__(self, mapping: Mapping[Tuple[str, str], str] = ()):
-        self.mapping: Dict[Tuple[str, str], str] = dict(mapping)
-
-    @staticmethod
-    def symmetric(pairs: Mapping[Tuple[str, str], str]) -> "CommSpec":
-        """Build a CommSpec with both orientations of every pair present."""
-        mapping: Dict[Tuple[str, str], str] = {}
-        for (a, b), c in pairs.items():
-            mapping[(a, b)] = c
-            mapping[(b, a)] = c
-        return CommSpec(mapping)
-
-    def gamma(self, a: str, b: str) -> Optional[str]:
-        return self.mapping.get((a, b), self.mapping.get((b, a)))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CommSpec) and self.mapping == other.mapping
-
-    def __repr__(self) -> str:
-        return f"CommSpec({self.mapping!r})"
-
-
-@dataclass
-class ValidationReport:
-    violations: List[str] = field(default_factory=list)
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate_comm_spec(gamma: CommSpec, alphabet: Iterable[str]) -> ValidationReport:
-    """Check gamma for symmetry and associativity-compatibility.
-
-    Associativity treats undefined pairs as deadlock and deadlock as
-    absorbing, so gamma*(gamma*(a,b),c) must equal gamma*(a,gamma*(b,c))
-    for all triples over the alphabet.
-    """
-    report = ValidationReport()
     names = sorted(alphabet)
-    for (a, b), c in sorted(gamma.mapping.items()):
-        if gamma.mapping.get((b, a)) != c:
-            report.violations.append(f"asymmetric at ({a},{b})")
+    violations = []
     for a in names:
         for b in names:
             for c in names:
-                ab = gamma.mapping.get((a, b))
-                left = gamma.mapping.get((ab, c)) if ab is not None else None
-                bc = gamma.mapping.get((b, c))
-                right = gamma.mapping.get((a, bc)) if bc is not None else None
+                ab = comm.get((a, b))
+                left = comm.get((ab, c)) if ab is not None else None
+                bc = comm.get((b, c))
+                right = comm.get((a, bc)) if bc is not None else None
                 if left != right:
-                    report.violations.append(
+                    violations.append(
                         f"associativity violation at ({a},{b},{c}): "
                         f"{left or 'delta'} != {right or 'delta'}"
                     )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Specification context
+    return violations
 
 
 @dataclass
 class SpecContext:
     """A declared alphabet, communication function, meadow, named process
-    definitions (non-recursive) and named encapsulation sets."""
+    definitions (non-recursive) and named encapsulation sets.
+
+    The communication function gamma is the partial map ``comm`` from
+    action-name pairs to names; absent pairs do not synchronize.  gamma is
+    commutative (t2.20), so the context holds every pair in both orders,
+    and a pair given with two results is a ValueError.
+    """
 
     alphabet: FrozenSet[str]
-    comm: CommSpec = field(default_factory=CommSpec)
+    comm: Dict[Tuple[str, str], str] = field(default_factory=dict)
     meadow: MeadowKind = field(default_factory=MeadowKind.rationals)
     definitions: Dict[str, ProcessTerm] = field(default_factory=dict)
     sets: Dict[str, FrozenSet[str]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        comm = dict(self.comm)
+        for (a, b), c in self.comm.items():
+            if comm.setdefault((b, a), c) != c:
+                raise ValueError(
+                    f"communication {a} | {b} given as {c!r} and as {comm[(b, a)]!r}"
+                )
+        self.comm = comm
 
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)

@@ -14,7 +14,6 @@ from meadowacp import (
     ENRICHED_AXIOM_IDS,
     Action,
     Alt,
-    CommSpec,
     Deadlock,
     Encap,
     Guard,
@@ -92,12 +91,19 @@ class TestSmallRuns:
 
     def test_invalid_comm_spec_rejected(self):
         ctx = SpecContext(
-            alphabet=frozenset({"a", "b", "c"}),
-            comm=CommSpec({("a", "b"): "c"}),  # asymmetric
+            alphabet=frozenset("abcde"),
+            comm={("a", "b"): "c", ("c", "d"): "e"},  # not associative
             meadow=MeadowKind.prime_field(3),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid communication function: associativity"):
             check_acp_axioms(ctx, samples=1)
+
+    def test_a_comm_given_in_one_order_merges_commutatively(self):
+        ctx = SpecContext(frozenset("abc"), {("a", "b"): "c"}, MeadowKind.prime_field(3))
+        a, b = Action("a"), Action("b")
+        assert normalize.normalize(Par(a, b), ctx) == normalize.normalize(Par(b, a), ctx)
+        assert str(normalize.normalize(Par(b, a), ctx)) == "a . b + b . a + c"
+        assert check_acp_axioms(ctx, samples=2).passed()
 
 
 class TestReportShape:

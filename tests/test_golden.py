@@ -182,6 +182,16 @@ PARSE_CASES = [
     ("spec", ""),
     ("spec", "  \t\r\n# only a comment"),
     ("spec", "act a, b, c;\ncomm a | b = c;\nmeadow F 3;\nset H = {a, b};\nproc P = a . b + delta;\n"),
+    # a proc body sees only the actions, sets and processes declared before it
+    ("spec", "act a; proc P = b; act b;"),
+    ("spec", "act a;\nproc P = b(1);\nact b;"),
+    ("spec", "act a;\nproc P = encap(H, a);\nset H = {a};"),
+    ("spec", "act a;\nproc P = encap(b, a);\nact b;"),
+    ("spec", "act a;\nproc P = encap({b}, a);\nact b;"),
+    ("spec", "act a;\nproc P = Q;\nproc Q = a;"),
+    ("spec", "act a;\nproc P = a;\nact b;\nproc Q = P . b;\nset H = {a, b};"),
+    ("spec", "act a, b, c;\nproc P = a || b;\ncomm b | a = c;\nmeadow F 3;\nset H = {a};\n"
+             "proc Q = [inv(2)] -> encap(H, P) . b(2);"),
     ("default", "a || b |_ c"),
     ("default", "a | b || c"),
     ("default", "a |_ b | c"),
@@ -351,7 +361,7 @@ def describe(ctx) -> str:
     from meadowacp import pretty_term
 
     decls = [f"act {', '.join(sorted(ctx.alphabet))}"]
-    decls += [f"comm {a} | {b} = {c}" for (a, b), c in sorted(ctx.comm.mapping.items())]
+    decls += [f"comm {a} | {b} = {c}" for (a, b), c in sorted(ctx.comm.items())]
     decls.append(f"meadow {ctx.meadow}")
     decls += [f"set {n} = {{{', '.join(sorted(h))}}}" for n, h in sorted(ctx.sets.items())]
     decls += [f"proc {n} = {pretty_term(t)}" for n, t in ctx.definitions.items()]

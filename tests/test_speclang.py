@@ -41,8 +41,8 @@ class TestParseSpec:
     def test_full_spec(self, sample_spec_text):
         ctx = parse_spec(sample_spec_text)
         assert ctx.alphabet == frozenset({"a", "b", "c"})
-        assert ctx.comm.gamma("a", "b") == "c"
-        assert ctx.comm.gamma("b", "a") == "c"
+        assert ctx.comm.get(("a", "b")) == "c"
+        assert ctx.comm.get(("b", "a")) == "c"
         assert ctx.meadow == MeadowKind.prime_field(3)
         assert ctx.sets["H"] == frozenset({"a", "b"})
         # definitions are stored unevaluated
@@ -151,7 +151,7 @@ class TestParseSpec:
         # the same result again, in either orientation, changes nothing
         for second in ("comm a | b = c;", "comm b | a = c;"):
             ctx = parse_spec(f"act a, b, c, d; comm a | b = c; {second}")
-            assert ctx.comm.gamma("a", "b") == ctx.comm.gamma("b", "a") == "c"
+            assert ctx.comm.get(("a", "b")) == ctx.comm.get(("b", "a")) == "c"
 
 
 class TestParseTerm:

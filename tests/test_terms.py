@@ -19,7 +19,6 @@ from meadowacp import (
     Alt,
     BasicTerm,
     CommMerge,
-    CommSpec,
     DataAction,
     Deadlock,
     Encap,
@@ -83,36 +82,39 @@ def _visited(monkeypatch):
 
 
 class TestCommSpec:
-    def test_symmetric_constructor(self):
-        g = CommSpec.symmetric({("a", "b"): "c"})
-        assert g.gamma("a", "b") == "c"
-        assert g.gamma("b", "a") == "c"
-        assert g.gamma("a", "c") is None
+    """gamma is a plain map in the context, made symmetric once."""
+
+    def test_the_context_holds_every_pair_in_both_orders(self):
+        given = {("a", "b"): "c"}
+        ctx = SpecContext(frozenset("abc"), given)
+        assert ctx.comm == {("a", "b"): "c", ("b", "a"): "c"}
+        assert ctx.comm.get(("a", "c")) is None
+        assert given == {("a", "b"): "c"}  # the caller's map is left as it was
+
+    def test_a_pair_given_with_two_results_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^communication a \| b given as 'c' and as 'd'$"):
+            SpecContext(frozenset("abcd"), {("a", "b"): "c", ("b", "a"): "d"})
+        both = {("a", "b"): "c", ("b", "a"): "c"}
+        assert SpecContext(frozenset("abc"), both).comm == both
 
     def test_validate_symmetric_spec(self):
-        g = CommSpec.symmetric({("a", "b"): "c"})
-        assert validate_comm_spec(g, {"a", "b", "c"}).valid
-
-    def test_validate_detects_asymmetry(self):
-        g = CommSpec({("a", "b"): "c"})  # one orientation only
-        report = validate_comm_spec(g, {"a", "b", "c"})
-        assert not report.valid
-        assert any("asymmetric" in v for v in report.violations)
+        ctx = SpecContext(frozenset("abc"), {("a", "b"): "c"})
+        assert validate_comm_spec(ctx.comm, ctx.alphabet) == []
 
     def test_validate_detects_associativity_violation(self):
         # gamma(gamma(a,b),d) = gamma(c,d) = e but gamma(a,gamma(b,d)) = delta
-        g = CommSpec.symmetric({("a", "b"): "c", ("c", "d"): "e"})
-        report = validate_comm_spec(g, {"a", "b", "c", "d", "e"})
-        assert not report.valid
-        assert any("associativity" in v for v in report.violations)
+        ctx = SpecContext(frozenset("abcde"), {("a", "b"): "c", ("c", "d"): "e"})
+        violations = validate_comm_spec(ctx.comm, ctx.alphabet)
+        assert violations
+        assert all(v.startswith("associativity violation at ") for v in violations)
 
     def test_validation_is_idempotent(self):
-        g = CommSpec.symmetric({("a", "b"): "c"})
-        before = dict(g.mapping)
-        r1 = validate_comm_spec(g, {"a", "b", "c"})
-        r2 = validate_comm_spec(g, {"a", "b", "c"})
-        assert g.mapping == before
-        assert r1.valid == r2.valid == True  # noqa: E712
+        ctx = SpecContext(frozenset("abc"), {("a", "b"): "c"})
+        before = dict(ctx.comm)
+        r1 = validate_comm_spec(ctx.comm, ctx.alphabet)
+        r2 = validate_comm_spec(ctx.comm, ctx.alphabet)
+        assert ctx.comm == before
+        assert r1 == r2 == []
 
 
 class TestFreeVariables:
@@ -286,7 +288,7 @@ class TestContextDefaults:
     def test_default_meadow_is_rationals(self):
         ctx = SpecContext(alphabet=frozenset({"a"}))
         assert ctx.meadow == MeadowKind.rationals()
-        assert ctx.comm.gamma("a", "a") is None
+        assert ctx.comm == {}
 
 
 def _one_node_of_each_class():
