@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Union
 
@@ -105,6 +105,17 @@ def _constructor(names):
     return __new__
 
 
+def _node_repr(self):
+    """``Cls(field=value, ...)``, as a dataclass ``__repr__`` writes it."""
+    values = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+    return f"{type(self).__qualname__}({values})"
+
+
+def _frozen(self, name, *value):
+    """A node's ``__setattr__`` and ``__delattr__``, as in a frozen dataclass."""
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
 def interned(cls):
     """Declare a syntax node: a frozen dataclass whose constructor returns
     the live node with the same class and fields, if there is one.
@@ -120,13 +131,16 @@ def interned(cls):
     parameters are the fields, with their defaults, so the interpreter binds
     positional, keyword and default arguments, and raises the ``TypeError``
     of a wrong call, naming ``Cls.__new__``.  A call, hit or fresh, runs
-    this one Python frame; the dataclass ``__init__`` is deleted, as
-    ``__new__`` sets the fields of a node once, when it is made.  Copies,
+    this one Python frame: ``__new__`` sets the fields of a node once, when
+    it is made, and the class has no ``__init__``.  Copies,
     ``dataclasses.replace`` and unpickling go through the constructor, so
-    they return the live node too.
+    they return the live node too.  ``dataclass`` only records the fields
+    and generates no code: every node class shares the functions above.
     """
-    cls = dataclass(frozen=True, eq=False)(cls)
-    del cls.__init__
+    if not cls.__doc__:  # else dataclass would write one with inspect.signature
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
+    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    cls.__repr__, cls.__setattr__, cls.__delattr__ = _node_repr, _frozen, _frozen
     declared = fields(cls)
     names = tuple(f.name for f in declared)
     __new__ = _constructor(names)
@@ -161,18 +175,36 @@ class NonPrimeModulus(MeadowError):
     """A finite meadow was requested with a composite modulus."""
 
 
+# The smallest strong pseudoprime to all the prime bases up to 41
+# (Sorenson and Webster, Math. Comp. 2017); to the bases up to 37 alone it is
+# 318665857834031151167461, which is why 41 is among them.
+_PRIME_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin over the bases up to 41, which decides
+    every n below ``_PRIME_BOUND``; a larger n is a MeadowError."""
+    if n >= _PRIME_BOUND:
+        raise MeadowError(f"modulus {n} is too large: primality is decided below {_PRIME_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -167,6 +167,31 @@ class TestOperations:
         with pytest.raises(NonPrimeModulus):
             MeadowKind.prime_field(1)
 
+    def test_primality_agrees_with_trial_division_below_100_000(self):
+        def trial_division(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+        assert [n for n in range(100_000) if meadow._is_prime(n)] == \
+            [n for n in range(100_000) if trial_division(n)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # the smallest strong pseudoprime to the first 1, 2, ... prime bases;
+        # the last one passes every base up to 37, so 41 must be tested too
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not meadow._is_prime(n), n
+            with pytest.raises(NonPrimeModulus, match=f"^modulus {n} is not prime$"):
+                MeadowKind.prime_field(n)
+
+    def test_large_primes_in_bounded_time(self):
+        assert MeadowKind.prime_field(2**61 - 1).modulus == 2**61 - 1
+        assert str(MeadowKind.from_name("F10000000000000061")) == "F10000000000000061"
+        for n in (2**89 - 1, meadow._PRIME_BOUND):
+            with pytest.raises(meadow.MeadowError, match=(
+                    f"^modulus {n} is too large: primality is decided below "
+                    f"{meadow._PRIME_BOUND}$")):
+                MeadowKind.prime_field(n)
+
     def test_enumerate_carrier(self):
         assert [v.value for v in enumerate_carrier(F3)] == [0, 1, 2]
         assert len(list(enumerate_carrier(TRIVIAL))) == 1

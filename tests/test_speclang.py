@@ -85,6 +85,12 @@ class TestParseSpec:
             parse_spec("act a; meadow F4;")
         assert "not prime" in str(exc.value)
 
+    def test_a_modulus_beyond_the_primality_bound_is_located(self):
+        with pytest.raises(SpecError, match=(
+                r"^<spec>:2:8: modulus 618970019642690137449562111 is too large: "
+                r"primality is decided below 3317044064679887385961981$")):
+            parse_spec(f"act a;\nmeadow F {2**89 - 1};")
+
     def test_asymmetry_cannot_arise_but_associativity_can(self):
         # comm declarations are symmetrized automatically, so the only
         # rejectable shape is an associativity clash

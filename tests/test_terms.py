@@ -3,8 +3,11 @@
 import copy
 import dataclasses
 import gc
+import inspect
+import itertools
 import os
 import pickle
+import random
 import subprocess
 import sys
 import weakref
@@ -115,6 +118,63 @@ class TestCommSpec:
         r2 = validate_comm_spec(ctx.comm, ctx.alphabet)
         assert ctx.comm == before
         assert r1 == r2 == []
+
+
+def _violations_of_every_triple(comm, alphabet):
+    """The reference for validate_comm_spec: every triple over the alphabet."""
+    names = sorted(alphabet)
+    violations = []
+    for a, b, c in itertools.product(names, repeat=3):
+        ab, bc = comm.get((a, b)), comm.get((b, c))
+        left = comm.get((ab, c)) if ab is not None else None
+        right = comm.get((a, bc)) if bc is not None else None
+        if left != right:
+            violations.append(f"associativity violation at ({a},{b},{c}): "
+                              f"{left or 'delta'} != {right or 'delta'}")
+    return violations
+
+
+class TestCommValidation:
+    """validate_comm_spec checks only the triples that can fail."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_it_agrees_with_the_check_of_every_triple(self, seed):
+        rng = random.Random(seed)
+        alphabet = [f"a{i}" for i in range(rng.randint(1, 7))]
+        names = alphabet + ["x", "y"]  # pairs and results outside the alphabet too
+        comm = {}
+        for _ in range(rng.randint(0, 12)):
+            comm[(rng.choice(names), rng.choice(names))] = rng.choice(names)
+        if rng.random() < 0.5:
+            comm.update({(b, a): c for (a, b), c in list(comm.items())})
+        assert validate_comm_spec(comm, alphabet) == _violations_of_every_triple(comm, alphabet)
+
+    def test_lookups_are_bounded_by_the_defined_pairs_times_the_alphabet(self):
+        class Counting(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                Counting.lookups += 1
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                Counting.lookups += 1
+                return super().__getitem__(key)
+
+            def __contains__(self, key):
+                Counting.lookups += 1
+                return super().__contains__(key)
+
+        alphabet = [f"a{i:03}" for i in range(200)]
+        ctx = SpecContext(frozenset(alphabet), {("a000", "a001"): "a002", ("a002", "a003"): "a004"})
+        comm = Counting(ctx.comm)
+        assert validate_comm_spec(comm, alphabet) == [
+            f"associativity violation at ({a},{b},{c}): {left} != {right}"
+            for a, b, c, left, right in [("a000", "a001", "a003", "a004", "delta"),
+                                         ("a001", "a000", "a003", "a004", "delta"),
+                                         ("a003", "a000", "a001", "delta", "a004"),
+                                         ("a003", "a001", "a000", "delta", "a004")]]
+        assert 0 < Counting.lookups <= 8 * len(comm) * len(alphabet)
 
 
 class TestFreeVariables:
@@ -402,6 +462,68 @@ class TestInterning:
             capture_output=True, text=True, check=True,
         )
         assert run.stderr == ""
+
+    def test_every_node_class_shares_its_methods_and_has_no_init(self):
+        for node in _one_node_of_each_class():
+            cls = type(node)
+            assert cls.__repr__ is meadow._node_repr
+            assert cls.__setattr__ is cls.__delattr__ is meadow._frozen
+            assert "__init__" not in vars(cls) and cls.__init__ is object.__init__
+            assert dataclasses.is_dataclass(cls)
+
+    def test_declaring_a_class_without_a_docstring_calls_no_signature(self, monkeypatch):
+        calls = []
+        signature = inspect.signature
+        monkeypatch.setattr(inspect, "signature", lambda *a, **k: calls.append(a) or signature(*a, **k))
+
+        @meadow.interned
+        class Pair:
+            first: int
+            second: str = "b"
+
+        assert calls == []
+        assert Pair.__doc__ == "Pair(first, second)"
+        assert Pair(1) is Pair(1, "b")
+        assert repr(Pair(1)).endswith(".<locals>.Pair(first=1, second='b')")
+
+    def test_the_repr_is_the_dataclass_text(self):
+        # the reprs of the dataclass-generated __repr__, before the shared one
+        assert [repr(node) for node in _one_node_of_each_class()] == [
+            "Deadlock()",
+            "Action(name='a')",
+            "DataAction(name='b', args=(QConst(value=Fraction(2, 1)), QVar(name='u')))",
+            "Alt(lhs=Action(name='a'), rhs=Deadlock())",
+            "Seq(lhs=Action(name='a'), rhs=Action(name='a'))",
+            "Par(lhs=Action(name='a'), rhs=ProcVar(name='P'))",
+            "LeftMerge(lhs=Action(name='a'), rhs=Action(name='a'))",
+            "CommMerge(lhs=Action(name='a'), rhs=Action(name='a'))",
+            "Encap(hide=frozenset({'a'}), body=Action(name='a'))",
+            "Guard(cond=QVar(name='u'), body=Action(name='a'))",
+            "ProcVar(name='P')",
+            "QZero()",
+            "QOne()",
+            "QConst(value=Fraction(1, 3))",
+            "QVar(name='u')",
+            "QAdd(lhs=QVar(name='u'), rhs=QOne())",
+            "QMul(lhs=QVar(name='u'), rhs=QVar(name='u'))",
+            "QNeg(arg=QVar(name='u'))",
+            "QInv(arg=QVar(name='u'))",
+            "ActionLiteral(name='a', args=(MeadowValue(meadow=MeadowKind(modulus=3), value=2),))",
+            "Summand(action=ActionLiteral(name='a', args=(MeadowValue(meadow=MeadowKind(modulus=3),"
+            " value=2),)), continuation=BasicTerm(summands=frozenset({Summand(action=ActionLiteral("
+            "name='b', args=()), continuation=None)})))",
+            "BasicTerm(summands=frozenset({Summand(action=ActionLiteral(name='a', args=(MeadowValue("
+            "meadow=MeadowKind(modulus=3), value=2),)), continuation=BasicTerm(summands=frozenset("
+            "{Summand(action=ActionLiteral(name='b', args=()), continuation=None)})))}))",
+        ]
+
+    def test_a_field_cannot_be_deleted(self):
+        node = Seq(Action("a"), Action("b"))
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'lhs'$"):
+            del node.lhs
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot assign to field 'lhs'$"):
+            node.lhs = Action("b")
+        assert node.lhs is Action("a")
 
     @pytest.mark.parametrize("node", _one_node_of_each_class(), ids=lambda n: type(n).__name__)
     def test_every_way_of_building_a_node_returns_the_live_one(self, node):
