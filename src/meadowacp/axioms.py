@@ -14,9 +14,7 @@ two routes is a hard failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
 
 from .lts import bisimilar_terms
 from .meadow import (
@@ -28,7 +26,6 @@ from .meadow import (
     QNeg,
     QuantityTerm,
     QVar,
-    enumerate_carrier,
     random_rational,
 )
 from .normalize import BasicTerm, guard_chain, normal_forms, normalize
@@ -59,7 +56,7 @@ class OracleDisagreement(Exception):
     verdicts for the same instance; one of them is wrong."""
 
 
-def default_context(meadow: Optional[MeadowKind] = None) -> SpecContext:
+def default_context(meadow: MeadowKind | None = None) -> SpecContext:
     """Three actions with one symmetric communication, data over F3."""
     return SpecContext(
         alphabet=frozenset({"a", "b", "c"}),
@@ -83,27 +80,21 @@ class TermGen:
         self.rng = rng
         self.max_depth = max_depth
         self.names = sorted(ctx.alphabet)
-        self.qty_pool = self._qty_pool()
         self.lit_pool = self._lit_pool()
 
-    def _qty_pool(self) -> List[MeadowValue]:
-        if self.ctx.meadow.is_finite:
-            return list(enumerate_carrier(self.ctx.meadow))
-        return []
-
-    def _lit_pool(self) -> List[ActionLiteral]:
+    def _lit_pool(self) -> list[ActionLiteral]:
+        m = self.ctx.meadow
+        # the largest residue of a finite carrier, else 1
+        data_arg = MeadowValue(m, m.modulus - 1) if m.is_finite else m.from_int(1)
         pool = [ActionLiteral(n) for n in self.names]
-        data_arg = (
-            self.qty_pool[-1]
-            if self.qty_pool
-            else self.ctx.meadow.from_int(1)
-        )
         pool += [ActionLiteral(n, (data_arg,)) for n in self.names]
         return pool
 
     def quantity_value(self) -> MeadowValue:
-        if self.qty_pool:
-            return self.rng.choice(self.qty_pool)
+        """A carrier element drawn uniformly, or a random rational in Q0."""
+        m = self.ctx.meadow
+        if m.is_finite:
+            return MeadowValue(m, self.rng.randrange(m.modulus))
         return random_rational(self.rng)
 
     def quantity(self) -> QuantityTerm:
@@ -118,7 +109,7 @@ class TermGen:
             return Action(name)
         return DataAction(name, (self.quantity(),))
 
-    def term(self, depth: Optional[int] = None) -> ProcessTerm:
+    def term(self, depth: int | None = None) -> ProcessTerm:
         depth = self.max_depth if depth is None else depth
         if depth <= 0:
             return self.atom()
@@ -150,20 +141,23 @@ class TermGen:
 #   "h"     random subset of the alphabet
 #   "h+e"   random subset forced to contain s["e"]
 #   "h-e"   random subset forced to avoid s["e"]
-VarSpec = Tuple[str, str]
+VarSpec = tuple[str, str]
 
 
-@dataclass
 class AxiomSchema:
-    id: str
-    name: str
-    kind: str  # "eq" | "isact"
-    specs: Sequence[VarSpec]
-    build: Optional[Callable[[dict], tuple]] = None  # for a name that does not parse
-    sample: Optional[Callable] = None  # overrides the standard sampler
+    """An axiom, written once as its name, and how to sample its instances."""
+
+    def __init__(self, id: str, name: str, kind: str, specs: list[VarSpec],
+                 build=None, sample=None):
+        self.id = id
+        self.name = name
+        self.kind = kind  # "eq" | "isact"
+        self.specs = specs
+        self.build = build  # for a name that does not parse: s -> the sides
+        self.sample = sample  # overrides the standard sampler
 
     @cached_property
-    def sides(self) -> Tuple[ProcessTerm, ...]:
+    def sides(self) -> tuple[ProcessTerm, ...]:
         """The sides of the name, before any "  if" condition, parsed in
         _SCHEMA_CTX on first use, not at import, which every CLI call pays."""
         equation = self.name.split("  if ")[0]
@@ -175,7 +169,7 @@ class AxiomSchema:
         return tuple(_instantiate(t, s) for t in self.sides)
 
 
-def _std_sample(specs: Sequence[VarSpec], i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
+def _std_sample(specs: list[VarSpec], i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
     s: dict = {}
     idx = i
     for nm, kd in specs:
@@ -186,10 +180,10 @@ def _std_sample(specs: Sequence[VarSpec], i: int, rng, gen: TermGen, ctx: SpecCo
             s[nm] = pool[idx % len(pool)]
             idx //= len(pool)
         elif kd == "q":
-            pool = gen.qty_pool
-            if pool:
-                s[nm] = pool[idx % len(pool)]
-                idx //= len(pool)
+            p = ctx.meadow.modulus
+            if p is not None:  # enumerated over the carrier
+                s[nm] = MeadowValue(ctx.meadow, idx % p)
+                idx //= p
             else:
                 s[nm] = random_rational(rng)
         elif kd == "const":
@@ -282,11 +276,11 @@ def _instantiate(t: ProcessTerm, s: dict) -> ProcessTerm:
     return _map_children(t, lambda c: _instantiate(c, s))
 
 
-def _eq(id: str, name: str, specs: Sequence[VarSpec]) -> AxiomSchema:
+def _eq(id: str, name: str, specs: list[VarSpec]) -> AxiomSchema:
     return AxiomSchema(id, name, "eq", specs)
 
 
-ACP_AXIOMS: List[AxiomSchema] = [
+ACP_AXIOMS: list[AxiomSchema] = [
     _eq("t2.01", "x + y = y + x", [("x", "p"), ("y", "p")]),
     _eq("t2.02", "(x + y) + z = x + (y + z)", [("x", "p"), ("y", "p"), ("z", "p")]),
     _eq("t2.03", "x + x = x", [("x", "p")]),
@@ -321,7 +315,7 @@ ACP_AXIOMS: List[AxiomSchema] = [
 ]
 
 
-ENRICHED_AXIOMS: List[AxiomSchema] = [
+ENRICHED_AXIOMS: list[AxiomSchema] = [
     _eq("t3.01", "[0] -> x = x", [("x", "p")]),
     _eq("t3.02", "[1] -> x = delta", [("x", "p")]),
     _eq("t3.03", "[u] -> x = [u/u] -> x", [("u", "q"), ("x", "p")]),
@@ -375,7 +369,7 @@ ENRICHED_AXIOMS: List[AxiomSchema] = [
 ]
 
 
-DERIVED_AXIOMS: List[AxiomSchema] = [
+DERIVED_AXIOMS: list[AxiomSchema] = [
     _eq("d.01", "a . x | b = (a | b) . x", [("a", "lit"), ("b", "lit"), ("x", "p")]),
     _eq("d.02", "x | (y + z) = x | y + x | z", [("x", "p"), ("y", "p"), ("z", "p")]),
     _eq("d.03", "x | ([u] -> y) = [u] -> (x | y)", [("u", "q"), ("x", "p"), ("y", "p")]),
@@ -392,7 +386,7 @@ DERIVED_AXIOM_IDS = [a.id for a in DERIVED_AXIOMS]
 
 def _check_eq_instance(
     lhs: ProcessTerm, rhs: ProcessTerm, ctx: SpecContext
-) -> Tuple[bool, BasicTerm, BasicTerm]:
+) -> tuple[bool, BasicTerm, BasicTerm]:
     """The verdict on lhs = rhs, with both normal forms."""
     nf_lhs, nf_rhs = normal_forms((lhs, rhs), ctx)
     by_normal_form = nf_lhs is nf_rhs
@@ -469,7 +463,7 @@ def _run_schema(
 
 def _run_suite(
     suite: str,
-    schemas: List[AxiomSchema],
+    schemas: list[AxiomSchema],
     ctx: SpecContext,
     samples: int,
     seed: int,

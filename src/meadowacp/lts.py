@@ -12,25 +12,20 @@ reachable from either, and builds no LTS.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from collections import namedtuple
 
 from .normalize import Engine, _hnf
 from .speclang import pretty_prefix
 from .terms import ActionLiteral, ProcessTerm, SpecContext, closed_ground_term
 
 
-@dataclass
-class LTS:
-    """States are indexed 0..n-1; state 0 is initial.  ``done`` is the index
+class LTS(namedtuple("LTS", "num_states initial transitions done terms", defaults=(None, ()))):
+    """States are indexed 0..n-1; state 0 is initial.  ``transitions`` is a
+    set of (source, ActionLiteral, target) triples.  ``done`` is the index
     of the distinguished successful-termination state, if reachable.
     ``terms[s]`` is the process term of state s (None for ``done``)."""
 
-    num_states: int
-    initial: int
-    transitions: Set[Tuple[int, ActionLiteral, int]]
-    done: Optional[int] = None
-    terms: List[Optional[ProcessTerm]] = field(default_factory=list)
+    __slots__ = ()
 
 
 def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
@@ -42,8 +37,8 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     engine = Engine(ctx)
     # Done is the residual None, numbered when it is first reached; the
     # index's keys, in insertion order, are the terms of the states
-    index: Dict[Optional[ProcessTerm], int] = {t: 0}
-    transitions: Set[Tuple[int, ActionLiteral, int]] = set()
+    index: dict[ProcessTerm | None, int] = {t: 0}
+    transitions: set[tuple[int, ActionLiteral, int]] = set()
     work = [t]
     while work:
         term = work.pop()
@@ -58,7 +53,7 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     return LTS(len(index), 0, transitions, done=index.get(None), terms=list(index))
 
 
-def _classes(roots, steps, cls: dict, classes: Dict[frozenset, int]) -> list:
+def _classes(roots, steps, cls: dict, classes: dict[frozenset, int]) -> list:
     """The bisimulation classes of roots, in one bottom-up pass (Dovier,
     Piazza & Policriti 2004): on an acyclic state space a state's class is
     the set of its (action, successor class) pairs, interned in ``classes``
@@ -92,10 +87,10 @@ def _classes(roots, steps, cls: dict, classes: Dict[frozenset, int]) -> list:
 def bisimilar(l1: LTS, l2: LTS) -> bool:
     """Strong bisimilarity of initial states, classed in one table both
     LTSs share."""
-    classes: Dict[frozenset, int] = {}
+    classes: dict[frozenset, int] = {}
     initial = []
     for lts in (l1, l2):
-        succ: List[List[Tuple[ActionLiteral, int]]] = [[] for _ in range(lts.num_states)]
+        succ: list[list[tuple[ActionLiteral, int]]] = [[] for _ in range(lts.num_states)]
         for p, a, q in lts.transitions:
             succ[p].append((a, q))
         cls = {} if lts.done is None else {lts.done: -1}
@@ -116,7 +111,7 @@ def bisimilar_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
     return c1 == c2
 
 
-def ordered_transitions(lts: LTS) -> List[Tuple[int, ActionLiteral, int]]:
+def ordered_transitions(lts: LTS) -> list[tuple[int, ActionLiteral, int]]:
     """The transitions in printed order: by source, action, then target."""
     return sorted(lts.transitions, key=lambda e: (e[0], e[1].sort_key(), e[2]))
 

@@ -33,9 +33,8 @@ from __future__ import annotations
 import itertools
 import random
 import weakref
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Union
 
 from .report import AxiomReport, AxiomResult
 
@@ -106,18 +105,18 @@ def _constructor(names):
 
 
 def _node_repr(self):
-    """``Cls(field=value, ...)``, as a dataclass ``__repr__`` writes it."""
-    values = ", ".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+    """``Cls(field=value, ...)``, the text a dataclass ``__repr__`` writes."""
+    values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
     return f"{type(self).__qualname__}({values})"
 
 
 def _frozen(self, name, *value):
-    """A node's ``__setattr__`` and ``__delattr__``, as in a frozen dataclass."""
-    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+    """A node's ``__setattr__`` and ``__delattr__``: its fields are set once."""
+    raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def interned(cls):
-    """Declare a syntax node: a frozen dataclass whose constructor returns
+    """Declare a syntax node: an immutable class whose constructor returns
     the live node with the same class and fields, if there is one.
 
     This is the maximal sharing of the ATerm library (van den Brand et al.,
@@ -127,28 +126,25 @@ def interned(cls):
     and one call of the reference; each reference's callback removes its
     entry when its node dies.
 
+    The fields are the names the class body annotates, in order, recorded
+    as ``__match_args__``; a field's default is its value in the class body.
     The constructor is ``__new__`` with the class's own signature: its
     parameters are the fields, with their defaults, so the interpreter binds
     positional, keyword and default arguments, and raises the ``TypeError``
     of a wrong call, naming ``Cls.__new__``.  A call, hit or fresh, runs
     this one Python frame: ``__new__`` sets the fields of a node once, when
-    it is made, and the class has no ``__init__``.  Copies,
-    ``dataclasses.replace`` and unpickling go through the constructor, so
-    they return the live node too.  ``dataclass`` only records the fields
-    and generates no code: every node class shares the functions above.
+    it is made, and the class has no ``__init__``.  Copies and unpickling
+    go through the constructor, so they return the live node too.  Every
+    node class shares the functions above; none is generated.
     """
-    if not cls.__doc__:  # else dataclass would write one with inspect.signature
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__dict__.get('__annotations__', ()))})"
-    cls = dataclass(init=False, repr=False, eq=False)(cls)
+    names = cls.__match_args__ = tuple(cls.__annotations__)
     cls.__repr__, cls.__setattr__, cls.__delattr__ = _node_repr, _frozen, _frozen
-    declared = fields(cls)
-    names = tuple(f.name for f in declared)
     __new__ = _constructor(names)
     # one template per arity: rename its parameters after the fields
     code = __new__.__code__
     __new__.__code__ = code.replace(
         co_varnames=("klass", *names, *code.co_varnames[len(names) + 1:]))
-    __new__.__defaults__ = tuple(f.default for f in declared if f.default is not MISSING)
+    __new__.__defaults__ = tuple(vars(cls)[n] for n in names if n in vars(cls))
     __new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__new__ = __new__
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, n) for n in names))
@@ -214,7 +210,7 @@ class MeadowKind:
     ``modulus`` is None, else Z/pZ.  Modulus 1 is the trivial meadow.
     Interned, so each meadow is one object and membership is identity."""
 
-    modulus: Optional[int] = None
+    modulus: int | None = None
 
     @staticmethod
     def rationals() -> "MeadowKind":
@@ -266,16 +262,14 @@ class MeadowKind:
         return f"F{self.modulus}"
 
 
-@dataclass(frozen=True)
-class MeadowValue:
+class MeadowValue(namedtuple("MeadowValue", "meadow value")):
     """An element of a concrete meadow, always in canonical form.
 
     Rationals are held as gcd-reduced :class:`Fraction` values (positive
     denominator); residues as ints in [0, p).  Equality is structural.
     """
 
-    meadow: MeadowKind
-    value: Union[Fraction, int]
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:
@@ -292,7 +286,7 @@ class MeadowValue:
         return str(self.value)
 
 
-def _raw(q: Fraction, p: Optional[int]) -> Union[Fraction, int]:
+def _raw(q: Fraction, p: int | None) -> Fraction | int:
     """The rational q as a raw value of the meadow with modulus p: q itself
     in Q0, else its residue num * den^-1 mod p."""
     if p is None:
@@ -307,7 +301,7 @@ def _require_member(a: MeadowValue, m: MeadowKind) -> None:
         raise MixedMeadow(f"value from {a.meadow} used in {m}")
 
 
-def enumerate_carrier(m: MeadowKind) -> Iterator[MeadowValue]:
+def enumerate_carrier(m: MeadowKind):
     """Yield each carrier element exactly once (finite meadows only)."""
     if not m.is_finite:
         raise InfiniteCarrier("the rational meadow has an infinite carrier")
@@ -424,7 +418,7 @@ def _columns(t: QuantityTerm, column, m: MeadowKind, n: int) -> list:
 
 
 def eval_quantity(
-    t: QuantityTerm, env: Mapping[str, MeadowValue], m: MeadowKind
+    t: QuantityTerm, env: dict[str, MeadowValue], m: MeadowKind
 ) -> MeadowValue:
     """Homomorphic evaluation of a quantity term in the meadow ``m``: the
     one-column case of :func:`_columns`, with one :class:`MeadowValue`, for
@@ -539,15 +533,16 @@ def random_rational(rng: random.Random) -> MeadowValue:
 def _sample_assignments(m: MeadowKind, mode: str, samples: int, seed: int):
     """Yield (u, v, w) assignments: the whole cube when exhaustive, else random."""
     if mode == "exhaustive":
-        yield from itertools.product(list(enumerate_carrier(m)), repeat=3)
+        yield from itertools.product(enumerate_carrier(m), repeat=3)
         return
     rng = random.Random(seed)
-    carrier = list(enumerate_carrier(m)) if m.is_finite else None
+    p = m.modulus
     for _ in range(samples):
-        if carrier is None:
+        if p is None:
             yield random_rational(rng), random_rational(rng), random_rational(rng)
-        else:
-            yield (rng.choice(carrier), rng.choice(carrier), rng.choice(carrier))
+        else:  # draws as rng.choice over the carrier would, without listing it
+            yield (MeadowValue(m, rng.randrange(p)), MeadowValue(m, rng.randrange(p)),
+                   MeadowValue(m, rng.randrange(p)))
 
 
 def check_meadow_axioms(

@@ -10,7 +10,6 @@ what :func:`equal_terms` decides.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned
 from .speclang import pretty_prefix
@@ -46,7 +45,7 @@ class Summand:
     termination."""
 
     action: ActionLiteral
-    continuation: Optional["BasicTerm"] = None
+    continuation: BasicTerm | None = None
 
     def __str__(self) -> str:
         return _render(BasicTerm.of((self,)))
@@ -58,7 +57,7 @@ class BasicTerm:
     it is printed.  Interned like every term node, so equal normal forms
     are one object, whichever engine built them."""
 
-    summands: FrozenSet[Summand]
+    summands: frozenset[Summand]
 
     @staticmethod
     def of(summands) -> "BasicTerm":
@@ -81,8 +80,8 @@ def _render(root: BasicTerm) -> str:
     """The text of a normal form, on an explicit stack, so deep ones do not
     exhaust the interpreter's; each distinct node is ordered and rendered
     once, after its continuations."""
-    text: Dict[object, str] = {}
-    order: Dict[BasicTerm, List[Summand]] = {}
+    text: dict[object, str] = {}
+    order: dict[BasicTerm, list[Summand]] = {}
 
     def compare(s: Summand, t: Summand) -> int:
         # by action, termination first, then the continuations' ordered
@@ -130,15 +129,15 @@ def _render(root: BasicTerm) -> str:
 # successful termination).  An hnf keeps its head summands as the keys of
 # an insertion-ordered dict, not a set, so the order in which they are met
 # follows the term and not the string hash of this process.
-HeadSummand = Tuple[ActionLiteral, Optional[ProcessTerm]]
-Hnf = Dict[HeadSummand, None]
+HeadSummand = tuple[ActionLiteral, ProcessTerm | None]
+Hnf = dict[HeadSummand, None]
 
 
 def guard_chain(
     name: str,
-    us: Sequence[MeadowValue],
-    vs: Sequence[MeadowValue],
-    residual: Optional[ProcessTerm] = None,
+    us: tuple[MeadowValue, ...],
+    vs: tuple[MeadowValue, ...],
+    residual: ProcessTerm | None = None,
 ) -> ProcessTerm:
     """The guard chain (u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))
     that axiom t3.12 gives for e(u1..un) | e'(v1..vn) when e | e' = e'';
@@ -287,8 +286,8 @@ def normalize(
 
 
 def normal_forms(
-    terms: Sequence[ProcessTerm], ctx: SpecContext
-) -> Tuple[BasicTerm, ...]:
+    terms: tuple[ProcessTerm, ...], ctx: SpecContext
+) -> tuple[BasicTerm, ...]:
     """The canonical basic terms of several terms, built in one engine, so
     that they share its hnf and normal-form tables."""
     engine = Engine(ctx)

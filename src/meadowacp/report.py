@@ -2,40 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from collections import namedtuple
 
 
 def _to_dict(record) -> dict:
     """The fields of a report record, without the ones that are None."""
-    values = ((f.name, getattr(record, f.name)) for f in fields(record))
-    return {name: value for name, value in values if value is not None}
+    return {name: value for name, value in record._asdict().items() if value is not None}
 
 
-@dataclass
-class AxiomResult:
-    id: str
-    name: str
-    lhs: str
-    rhs: str
-    status: str  # "pass" | "fail"
-    counterexample: Optional[Dict[str, str]] = None
-    checked: int = 0
+class AxiomResult(namedtuple("AxiomResult", "id name lhs rhs status counterexample checked",
+                             defaults=(None, 0))):
+    """One axiom's verdict: ``status`` is "pass" or "fail"; a failure names
+    its ``counterexample``, a dict of strings."""
 
+    __slots__ = ()
     to_dict = _to_dict
 
 
-@dataclass
-class AxiomReport:
-    suite: str
-    meadow: str
-    mode: str
-    axioms: List[AxiomResult] = field(default_factory=list)
-    separation: Optional[str] = None
-    cancellation: Optional[str] = None
-    general_inverse: Optional[str] = None
+class AxiomReport(namedtuple("AxiomReport", "suite meadow mode axioms separation cancellation "
+                             "general_inverse", defaults=((), None, None, None))):
+    """A suite's AxiomResults; the meadow suite also reports its three
+    properties, "pass" or "fail"."""
 
-    def failures(self) -> List[AxiomResult]:
+    __slots__ = ()
+
+    def failures(self) -> list[AxiomResult]:
         return [r for r in self.axioms if r.status != "pass"]
 
     def passed(self, strict_separation: bool = False) -> bool:

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .meadow import (
     MeadowError,
@@ -94,7 +93,7 @@ class _Parser:
     own text; the whole input is scanned first, so that a bad character is
     reported before any syntax error."""
 
-    def __init__(self, src: str, filename: str, ctx: Optional[SpecContext] = None):
+    def __init__(self, src: str, filename: str, ctx: SpecContext | None = None):
         self.src, self.filename, self.ctx = src, filename, ctx
         self.tokens = [
             (m.group() if kind == "sym" else kind, m.group(), m.start())
@@ -108,7 +107,7 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def line_col(self, tok) -> Tuple[int, int]:
+    def line_col(self, tok) -> tuple[int, int]:
         offset = tok[2]
         return self.src.count("\n", 0, offset) + 1, offset - self.src.rfind("\n", 0, offset)
 

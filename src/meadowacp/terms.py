@@ -10,9 +10,6 @@ by the communication function gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
-
 from .meadow import (
     MeadowKind,
     MeadowValue,
@@ -52,7 +49,7 @@ class Action(ProcessTerm):
 @interned
 class DataAction(ProcessTerm):
     name: str
-    args: Tuple[QuantityTerm, ...]
+    args: tuple[QuantityTerm, ...]
 
 
 @interned
@@ -87,7 +84,7 @@ class CommMerge(ProcessTerm):
 
 @interned
 class Encap(ProcessTerm):
-    hide: FrozenSet[str]
+    hide: frozenset[str]
     body: ProcessTerm
 
 
@@ -102,7 +99,7 @@ class ProcVar(ProcessTerm):
     name: str
 
 
-def data_action(name: str, values: Sequence[MeadowValue]) -> DataAction:
+def data_action(name: str, values: tuple[MeadowValue, ...]) -> DataAction:
     """The data action ``name(v1, ..., vn)`` with each value as a literal."""
     return DataAction(name, tuple(v.literal() for v in values))
 
@@ -112,7 +109,7 @@ class ActionLiteral:
     """A ground atomic action: a name plus evaluated data arguments."""
 
     name: str
-    args: Tuple[MeadowValue, ...] = ()
+    args: tuple[MeadowValue, ...] = ()
 
     def sort_key(self):
         """(name, arity, argument values), kept in the instance's ``_key`` slot."""
@@ -141,7 +138,7 @@ class ActionLiteral:
 # Communication function and specification context
 
 
-def validate_comm_spec(comm: Mapping[Tuple[str, str], str], alphabet: Iterable[str]) -> List[str]:
+def validate_comm_spec(comm: dict[tuple[str, str], str], alphabet: frozenset[str]) -> list[str]:
     """The associativity violations of gamma over the alphabet.
 
     Undefined pairs are deadlock and deadlock is absorbing, so
@@ -152,7 +149,7 @@ def validate_comm_spec(comm: Mapping[Tuple[str, str], str], alphabet: Iterable[s
     """
     names = sorted(alphabet)
     inside = set(names)
-    partners: Dict[str, List[str]] = {}  # b -> the sorted c with gamma(b,c) defined
+    partners: dict[str, list[str]] = {}  # b -> the sorted c with gamma(b,c) defined
     for b, c in sorted(comm):
         if b in inside and c in inside:
             partners.setdefault(b, []).append(c)
@@ -173,7 +170,6 @@ def validate_comm_spec(comm: Mapping[Tuple[str, str], str], alphabet: Iterable[s
     return violations
 
 
-@dataclass
 class SpecContext:
     """A declared alphabet, communication function, meadow, named process
     definitions (non-recursive) and named encapsulation sets.
@@ -181,30 +177,35 @@ class SpecContext:
     The communication function gamma is the partial map ``comm`` from
     action-name pairs to names; absent pairs do not synchronize.  gamma is
     commutative (t2.20), so the context holds every pair in both orders,
-    and a pair given with two results is a ValueError.
+    and a pair given with two results is a ValueError.  The parser fills
+    ``definitions`` and ``sets`` as it reads them.
     """
 
-    alphabet: FrozenSet[str]
-    comm: Dict[Tuple[str, str], str] = field(default_factory=dict)
-    meadow: MeadowKind = field(default_factory=MeadowKind.rationals)
-    definitions: Dict[str, ProcessTerm] = field(default_factory=dict)
-    sets: Dict[str, FrozenSet[str]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        comm = dict(self.comm)
-        for (a, b), c in self.comm.items():
-            if comm.setdefault((b, a), c) != c:
+    def __init__(
+        self,
+        alphabet: frozenset[str],
+        comm: dict[tuple[str, str], str] | None = None,
+        meadow: MeadowKind = MeadowKind(),
+        definitions: dict[str, ProcessTerm] | None = None,
+        sets: dict[str, frozenset[str]] | None = None,
+    ):
+        self.alphabet = alphabet
+        self.comm = dict(comm or {})
+        for (a, b), c in list(self.comm.items()):
+            if self.comm.setdefault((b, a), c) != c:
                 raise ValueError(
-                    f"communication {a} | {b} given as {c!r} and as {comm[(b, a)]!r}"
+                    f"communication {a} | {b} given as {c!r} and as {self.comm[(b, a)]!r}"
                 )
-        self.comm = comm
+        self.meadow = meadow
+        self.definitions = {} if definitions is None else definitions
+        self.sets = {} if sets is None else sets
 
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
 _PAIRS = (*_BINARY, QAdd, QMul)  # the nodes with an lhs and an rhs
 
 
-def free_vars(t: ProcessTerm) -> Tuple[FrozenSet[str], FrozenSet[str]]:
+def free_vars(t: ProcessTerm) -> tuple[frozenset[str], frozenset[str]]:
     """t's free process and quantity variables, by one walk on an explicit
     stack over its distinct nodes that skips marked ones.  When nothing is
     free it marks each node it passed: being closed and ground does not
@@ -236,11 +237,11 @@ def free_vars(t: ProcessTerm) -> Tuple[FrozenSet[str], FrozenSet[str]]:
     return frozenset(procs), frozenset(quants)
 
 
-def free_process_vars(t: ProcessTerm) -> FrozenSet[str]:
+def free_process_vars(t: ProcessTerm) -> frozenset[str]:
     return free_vars(t)[0]
 
 
-def free_quantity_vars(t: ProcessTerm) -> FrozenSet[str]:
+def free_quantity_vars(t: ProcessTerm) -> frozenset[str]:
     return free_vars(t)[1]
 
 
@@ -274,9 +275,9 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     defs = ctx.definitions
     if not defs:
         return t
-    done: Dict[ProcessTerm, ProcessTerm] = {}
-    path: List[str] = []  # the definitions being expanded, outermost first
-    stack: List[Tuple[ProcessTerm, bool]] = [(t, False)]
+    done: dict[ProcessTerm, ProcessTerm] = {}
+    path: list[str] = []  # the definitions being expanded, outermost first
+    stack: list[tuple[ProcessTerm, bool]] = [(t, False)]
     while stack:
         node, children_done = stack.pop()
         if children_done:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import meadowacp
-from meadowacp import BasicTerm, axioms
+from meadowacp import AxiomReport, BasicTerm, axioms, cli
 from meadowacp.cli import main
 
 
@@ -273,6 +273,36 @@ class TestAxioms:
         assert main(["axioms", "--spec", str(spec)]) == 1
         assert f"error: {spec}:2:8: unknown meadow 'zz'" in capsys.readouterr().err
 
+    def test_a_large_prime_field_is_sampled(self, tmp_path):
+        # its p^3 cube of assignments would never finish
+        env = dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent))
+        axioms_cmd = [sys.executable, "-m", "meadowacp.cli", "axioms"]
+        run = subprocess.run([*axioms_cmd, "--meadow", "f10000000000000061", "--json"],
+                             env=env, capture_output=True, text=True, timeout=2)
+        assert run.returncode == 0, run.stderr
+        (report,) = json.loads(run.stdout)
+        assert report["meadow"] == "F10000000000000061"
+        assert report["mode"] == "random(200, seed=0)"
+        spec = tmp_path / "large.acpm"
+        spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 10000000000000061;\n")
+        run = subprocess.run([*axioms_cmd, "--spec", str(spec), "--samples", "3"],
+                             env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.endswith("RESULT: PASS\n")
+
+    def test_the_meadow_suite_is_exhaustive_up_to_64_elements(self, monkeypatch, capsys):
+        modes = []
+
+        def check(m, mode, samples, seed):
+            modes.append((str(m), mode))
+            return AxiomReport("meadow", str(m), mode)
+
+        monkeypatch.setattr(cli, "check_meadow_axioms", check)
+        for name in ("trivial", "f2", "f61", "f67", "q0"):
+            assert main(["axioms", "--meadow", name]) == 0
+        assert modes == [("trivial", "exhaustive"), ("F2", "exhaustive"), ("F61", "exhaustive"),
+                         ("F67", "random"), ("Q0", "random")]
+
     def test_requires_spec_or_meadow(self):
         with pytest.raises(SystemExit):
             main(["axioms"])
@@ -280,6 +310,16 @@ class TestAxioms:
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(SystemExit):
             main(["axioms", "--meadow", "f3", "--samples", "0"])
+
+
+def test_importing_the_cli_loads_no_typing_inspect_or_dataclasses():
+    # -S: a .pth file that site reads may import typing itself
+    src = str(Path(meadowacp.__file__).parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); import meadowacp.cli; "
+              "print(sorted({'typing', 'inspect', 'dataclasses'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
 
 
 def test_the_parser_is_reused_without_leaking_arguments(sample_spec_path, capsys):
