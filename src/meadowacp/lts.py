@@ -39,11 +39,12 @@ def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
     # index's keys, in insertion order, are the terms of the states
     index: dict[ProcessTerm | None, int] = {t: 0}
     transitions: set[tuple[int, ActionLiteral, int]] = set()
+    table = engine.hnf_cache
     work = [t]
     while work:
         term = work.pop()
         src = index[term]
-        for action, residual in _hnf(engine, term):
+        for action, residual in table.get(term) or _hnf(engine, term):
             dst = index.get(residual)
             if dst is None:
                 dst = index[residual] = len(index)
@@ -70,7 +71,7 @@ def _classes(roots, steps, cls: dict, classes: dict[frozenset, int]) -> list:
         while stack:
             s, edges = stack.pop()
             if edges is not None:
-                signature = frozenset((a, cls[q]) for a, q in edges)
+                signature = frozenset([(a, cls[q]) for a, q in edges])
                 cls[s] = classes.setdefault(signature, len(classes))
             elif s not in cls:
                 cls[s] = None

@@ -152,7 +152,7 @@ def guard_chain(
 
 def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
     """The hnf of x |_ rhs, given the hnf of x."""
-    return dict.fromkeys((a, rhs if k is None else Par(k, rhs)) for a, k in head)
+    return {(a, rhs if k is None else Par(k, rhs)): None for a, k in head}
 
 
 def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
@@ -191,48 +191,58 @@ def _show(head: Hnf) -> str:
 
 
 def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
+    """The hnf of t, kept in ``engine.hnf_cache``.
+
+    A rule reads an operand's hnf from the table before it recurses, and
+    never recurses from inside a comprehension (a frame of its own before
+    Python 3.12), so each level of nesting costs one frame.  Dispatch is on
+    the exact class, most frequent first: node classes are never
+    subclassed."""
     cache = engine.hnf_cache
     hit = cache.get(t)
     if hit is not None:
         return hit
 
-    ctx = engine.ctx
-    if isinstance(t, Deadlock):
-        out: Hnf = {}
-    elif isinstance(t, Action):
-        out = {(ActionLiteral(t.name), None): None}
-    elif isinstance(t, DataAction):
-        vals = tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)
-        out = {(ActionLiteral(t.name, vals), None): None}
-    elif isinstance(t, Alt):
-        out = _hnf(engine, t.lhs) | _hnf(engine, t.rhs)
-    elif isinstance(t, Seq):
-        out = dict.fromkeys(
-            (a, t.rhs if k is None else Seq(k, t.rhs)) for a, k in _hnf(engine, t.lhs)
-        )
-    elif isinstance(t, Par):
+    kind = type(t)
+    if kind is Par:
         # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
-        left = _hnf(engine, t.lhs)
-        right = _hnf(engine, t.rhs)
-        out = (
-            _left_merge(left, t.rhs)
-            | _left_merge(right, t.lhs)
-            | _comm_merge(engine, left, right)
-        )
-    elif isinstance(t, LeftMerge):
-        out = _left_merge(_hnf(engine, t.lhs), t.rhs)
-    elif isinstance(t, CommMerge):
-        out = _comm_merge(engine, _hnf(engine, t.lhs), _hnf(engine, t.rhs))
-    elif isinstance(t, Encap):
-        out = dict.fromkeys(
-            (a, k if k is None else Encap(t.hide, k))
-            for a, k in _hnf(engine, t.body)
-            if a.name not in t.hide
-        )
-    elif isinstance(t, Guard):
-        cond = eval_quantity(t.cond, {}, ctx.meadow)
-        out = _hnf(engine, t.body) if cond.is_zero else {}
-    elif isinstance(t, ProcVar):
+        x, y = t.lhs, t.rhs
+        left = cache.get(x) or _hnf(engine, x)
+        right = cache.get(y) or _hnf(engine, y)
+        out = _left_merge(left, y)
+        out |= _left_merge(right, x)
+        if left and right:
+            out |= _comm_merge(engine, left, right)
+    elif kind is Seq:
+        rhs = t.rhs
+        head = cache.get(t.lhs) or _hnf(engine, t.lhs)
+        out = {(a, rhs if k is None else Seq(k, rhs)): None for a, k in head}
+    elif kind is Alt:
+        left = cache.get(t.lhs) or _hnf(engine, t.lhs)
+        out = left | (cache.get(t.rhs) or _hnf(engine, t.rhs))
+    elif kind is DataAction:
+        m = engine.ctx.meadow
+        vals = tuple([eval_quantity(q, {}, m) for q in t.args])
+        out = {(ActionLiteral(t.name, vals), None): None}
+    elif kind is Action:
+        out = {(ActionLiteral(t.name), None): None}
+    elif kind is Guard:
+        cond = eval_quantity(t.cond, {}, engine.ctx.meadow)
+        out = (cache.get(t.body) or _hnf(engine, t.body)) if cond.is_zero else {}
+    elif kind is Deadlock:
+        out = {}
+    elif kind is CommMerge:
+        left = cache.get(t.lhs) or _hnf(engine, t.lhs)
+        right = cache.get(t.rhs) or _hnf(engine, t.rhs)
+        out = _comm_merge(engine, left, right) if left and right else {}
+    elif kind is Encap:
+        hide = t.hide
+        body = cache.get(t.body) or _hnf(engine, t.body)
+        out = {(a, k if k is None else Encap(hide, k)): None
+               for a, k in body if a.name not in hide}
+    elif kind is LeftMerge:
+        out = _left_merge(cache.get(t.lhs) or _hnf(engine, t.lhs), t.rhs)
+    elif kind is ProcVar:
         raise OpenTerm(f"free process variable: {t.name}")
     else:
         raise TypeError(f"not a process term: {t!r}")
@@ -257,24 +267,23 @@ class Engine:
         return self._normalize(closed_ground_term(t, self.ctx))
 
     def _normalize(self, t: ProcessTerm) -> BasicTerm:
-        hit = self._nf.get(t)
+        nf = self._nf
+        hit = nf.get(t)
         if hit is not None:
             return hit
-        if isinstance(t, Seq) and isinstance(t.lhs, Seq):
+        if type(t) is Seq and type(t.lhs) is Seq:
             # A5: (x . y) . z has the normal form of x . (y . z); stepping the
             # whole left spine right-nested keeps a sequence linear, while
             # the oracle still steps t as it is written
             x, rest = t.lhs, t.rhs
-            while isinstance(x, Seq):
+            while type(x) is Seq:
                 x, rest = x.lhs, Seq(x.rhs, rest)
-            out = self._nf[t] = self._normalize(Seq(x, rest))
+            out = nf[t] = self._normalize(Seq(x, rest))
             return out
         summands = []
-        for a, k in _hnf(self, t):
-            cont = None if k is None else self._normalize(k)
-            summands.append(Summand(a, cont))
-        out = BasicTerm.of(summands)
-        self._nf[t] = out
+        for a, k in self.hnf_cache.get(t) or _hnf(self, t):
+            summands.append(Summand(a, k if k is None else nf.get(k) or self._normalize(k)))
+        out = nf[t] = BasicTerm(frozenset(summands))
         return out
 
 

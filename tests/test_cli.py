@@ -3,15 +3,18 @@
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import meadowacp
-from meadowacp import AxiomReport, BasicTerm, axioms, cli
+from meadowacp import AxiomReport, BasicTerm, TermGen, axioms, cli, default_context, pretty_term
 from meadowacp.cli import main
+from test_golden import BINARY, MUTATED_SPEC, Q0_TERMS, SPEC_TEXTS, mutate, random_process
 
 
 class TestNormalize:
@@ -331,3 +334,68 @@ def test_the_parser_is_reused_without_leaking_arguments(sample_spec_path, capsys
     capsys.readouterr()
     assert main(["normalize", "--spec", sample_spec_path, "a . b"]) == 0
     assert capsys.readouterr().out == "a . b\n"
+
+
+def cli_call(seed: int):
+    """A spec text and the argv of one `meadowacp` command over it (the spec
+    as SPEC), drawn from the grammar of test_golden's corpora: a golden spec
+    or a mutated one; TermGen terms, Q0 terms joined by an operator, or
+    random terms of the parse corpus, some of them mutated; each command's
+    flags; and now and then an argument that the command does not take."""
+    rng = random.Random(seed)
+    spec = rng.choice([*SPEC_TEXTS.values(), None])
+    if spec is None:
+        lines = MUTATED_SPEC.splitlines(keepends=True)
+        k = rng.randrange(len(lines))
+        spec = "".join(lines[:k] + [mutate(rng, lines[k])] + lines[k + 1:])
+
+    def term():
+        r = rng.random()
+        if r < 0.4:
+            text = pretty_term(TermGen(default_context(), rng, max_depth=3).term())
+        elif r < 0.6:
+            text = rng.choice(Q0_TERMS) + rng.choice(BINARY) + rng.choice(Q0_TERMS)
+        else:
+            text = random_process(rng, 3)
+        return mutate(rng, text) if rng.random() < 0.2 else text
+
+    def flags(*names):
+        return [name for name in names if rng.random() < 0.4]
+
+    command = rng.choice(["normalize", "equiv", "lts", "axioms", "meadow"])
+    if command == "normalize":
+        argv = ["normalize", "--spec", "SPEC", term(), *flags("--json", "--debug-guard-chain")]
+    elif command == "equiv":
+        argv = ["equiv", "--spec", "SPEC", term(), term(), *flags("--json")]
+    elif command == "lts":
+        argv = ["lts", "--spec", "SPEC", term(), *flags("--json", "--dot")]
+    else:
+        source = (["--spec", "SPEC"] if command == "axioms" else
+                  ["--meadow", rng.choice(["q0", "f3", "f5", "trivial", "f4", "zz"])])
+        argv = ["axioms", *source, "--samples", str(rng.randint(1, 3)),
+                "--seed", str(rng.randrange(10)), *flags("--json", "--strict-separation")]
+    return spec, argv + rng.choice([[]] * 8 + [["--bogus"], ["--samples", "0"]])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_fuzzed_cli_calls_exit_cleanly(tmp_path_factory, seed):
+    """Whatever the spec, terms and flags: exit 0, 1 or 2, at most one
+    error line, and never a traceback."""
+    import resource
+
+    spec, argv = cli_call(seed)
+    path = tmp_path_factory.mktemp("fuzz") / "spec.acpm"
+    path.write_text(spec)
+    argv = [str(path) if arg == "SPEC" else arg for arg in argv]
+    cap = 512 * 2**20
+    run = subprocess.run(
+        [sys.executable, "-m", "meadowacp.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode in (0, 1, 2), (argv, run.stderr)
+    assert sum("error:" in line for line in run.stderr.splitlines()) <= 1, (argv, run.stderr)
+    assert "Traceback" not in run.stderr, (argv, run.stderr)

@@ -14,7 +14,11 @@ random samples), where a failed cancellation or general-inverse property
 counts too, or by a direct check of a computed quantity. Two more `_columns`
 mutants must each fail one of those two properties on F5 exhaustive.
 
-Both routes step with `_hnf`, so today every kill is an axiom failure.
+Both routes step with `_hnf`, so most kills are axiom failures. "Seq's
+residual drops its rhs" is killed by an `OracleDisagreement` instead: the
+normal-form route steps a left-nested sequence as its right-nested rotation
+(A5) and the oracle steps it as written, so the broken rule gives the two
+routes different answers on t2.05, (x . y) . z = x . (y . z).
 """
 
 import importlib
@@ -39,21 +43,21 @@ normalize = importlib.import_module("meadowacp.normalize")
 # (function, rule broken, text of the rule, its replacement)
 KILLED = [
     ("_hnf", "Alt keeps only its left hnf",
-     "_hnf(engine, t.lhs) | _hnf(engine, t.rhs)", "_hnf(engine, t.lhs)"),
+     "out = left | (cache.get(t.rhs) or _hnf(engine, t.rhs))", "out = left"),
     ("_hnf", "Seq's residual drops its rhs",
-     "else Seq(k, t.rhs)", "else k"),
+     "else Seq(k, rhs)", "else k"),
     ("_hnf", "Par loses its communication part",
-     "| _comm_merge(engine, left, right)", ""),
+     "out |= _comm_merge(engine, left, right)", "pass"),
     ("_hnf", "Par loses y |_ x",
-     "| _left_merge(right, t.lhs)", ""),
+     "out |= _left_merge(right, x)", ""),
     ("_hnf", "Encap loses its filter",
-     "if a.name not in t.hide", ""),
+     "if a.name not in hide", ""),
     ("_hnf", "Encap does not re-wrap the residual",
-     "k if k is None else Encap(t.hide, k)", "k"),
+     "k if k is None else Encap(hide, k)", "k"),
     ("_hnf", "a guard is enabled when its condition is nonzero",
      "if cond.is_zero else", "if not cond.is_zero else"),
     ("_hnf", "data action arguments are dropped",
-     "tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)", "()"),
+     "tuple([eval_quantity(q, {}, m) for q in t.args])", "()"),
     ("_left_merge", "x |_ y drops y from the residual",
      "else Par(k, rhs)", "else k"),
     ("_comm_merge", "communication ignores data equality",
@@ -70,10 +74,10 @@ ARITY = ("_comm_merge", "communication ignores arity",
 # Every data argument that the suites sample is a literal, so only a direct
 # check on a computed argument kills this one.
 UNEVALUATED = ("_hnf", "data action arguments stay unevaluated",
-               "tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)", "t.args")
+               "tuple([eval_quantity(q, {}, m) for q in t.args])", "t.args")
 
 # A semantically neutral edit: the harness must report it as a survivor.
-NOOP = ("_hnf", "no change", "elif isinstance(t, Alt):", "elif isinstance(t, Alt):  # no-op")
+NOOP = ("_hnf", "no change", "elif kind is Alt:", "elif kind is Alt:  # no-op")
 
 
 # (function of `meadow`, rule broken, text of the rule, its replacement)
@@ -128,6 +132,13 @@ def test_mutant_is_killed(monkeypatch, name, rule, old, new):
 def test_equivalent_mutant_survives(monkeypatch, name, rule, old, new):
     mutate(monkeypatch, name, old, new)
     assert not killed(), f"{name}: {rule} is killed"
+
+
+def test_the_seq_mutant_is_killed_by_a_disagreement_of_the_routes(monkeypatch):
+    name, _, old, new = next(m for m in KILLED if m[1] == "Seq's residual drops its rhs")
+    mutate(monkeypatch, name, old, new)
+    with pytest.raises(OracleDisagreement, match=r"^t2\.05, sample 7, seed 0: "):
+        check_acp_axioms(default_context(), samples=40, seed=0)
 
 
 def test_the_arity_mutant_is_killed_under_the_guard_chain_check(monkeypatch):

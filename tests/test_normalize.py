@@ -1,5 +1,6 @@
 """Tests for canonical normal forms and the equational theory."""
 
+import importlib
 import itertools
 import random
 import weakref
@@ -38,8 +39,13 @@ from meadowacp import (
     parse_spec,
     parse_term,
 )
+from meadowacp import lts as lts_module
+from meadowacp import terms as terms_module
 from meadowacp.lts import bisimilar_terms
 from meadowacp.normalize import _hnf, guard_chain
+
+# the package's own `normalize` attribute is the function of that name
+normalize_module = importlib.import_module("meadowacp.normalize")
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
@@ -375,3 +381,184 @@ class TestMergeRule:
         engine = Engine(ctx)
         engine.normalize(parse_term("a . b || b . c || c . a", ctx))
         assert not any(isinstance(k, (LeftMerge, CommMerge)) for k in engine.hnf_cache)
+
+
+# The hnf rules as they were written before the step kernel dispatched on
+# the exact class and read the table before recursing: isinstance tests,
+# a call for every operand, heads built by dict.fromkeys. Kept verbatim as
+# the reference that the kernel must match.
+REFERENCE_STEPPER = '''
+def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
+    """The hnf of x |_ rhs, given the hnf of x."""
+    return dict.fromkeys((a, rhs if k is None else Par(k, rhs)) for a, k in head)
+
+
+def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
+    """The hnf of x | y, given the hnfs of x and y: two head summands
+    synchronize when gamma is defined on their names and their data are
+    equal (t3.12); every other pair is dropped."""
+    comm = engine.ctx.comm
+    acc: Hnf = {}
+    for a1, k1 in left:
+        for a2, k2 in right:
+            name = comm.get((a1.name, a2.name))
+            if name is None or len(a1.args) != len(a2.args):
+                continue
+            residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)
+            direct: Hnf = {}
+            if a1.args == a2.args:
+                direct[(ActionLiteral(name, a1.args), residual)] = None
+            if engine.debug_guard_chain and a1.args:
+                # the chain holds no communication merge, so the cross-check cannot recurse
+                chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
+                if chain != direct:
+                    raise GuardChainMismatch(
+                        f"{a1} | {a2}: direct route {_show(direct)} vs "
+                        f"guard chain {_show(chain)}"
+                    )
+            acc |= direct
+    return acc
+
+
+def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
+    cache = engine.hnf_cache
+    hit = cache.get(t)
+    if hit is not None:
+        return hit
+
+    ctx = engine.ctx
+    if isinstance(t, Deadlock):
+        out: Hnf = {}
+    elif isinstance(t, Action):
+        out = {(ActionLiteral(t.name), None): None}
+    elif isinstance(t, DataAction):
+        vals = tuple(eval_quantity(q, {}, ctx.meadow) for q in t.args)
+        out = {(ActionLiteral(t.name, vals), None): None}
+    elif isinstance(t, Alt):
+        out = _hnf(engine, t.lhs) | _hnf(engine, t.rhs)
+    elif isinstance(t, Seq):
+        out = dict.fromkeys(
+            (a, t.rhs if k is None else Seq(k, t.rhs)) for a, k in _hnf(engine, t.lhs)
+        )
+    elif isinstance(t, Par):
+        # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
+        left = _hnf(engine, t.lhs)
+        right = _hnf(engine, t.rhs)
+        out = (
+            _left_merge(left, t.rhs)
+            | _left_merge(right, t.lhs)
+            | _comm_merge(engine, left, right)
+        )
+    elif isinstance(t, LeftMerge):
+        out = _left_merge(_hnf(engine, t.lhs), t.rhs)
+    elif isinstance(t, CommMerge):
+        out = _comm_merge(engine, _hnf(engine, t.lhs), _hnf(engine, t.rhs))
+    elif isinstance(t, Encap):
+        out = dict.fromkeys(
+            (a, k if k is None else Encap(t.hide, k))
+            for a, k in _hnf(engine, t.body)
+            if a.name not in t.hide
+        )
+    elif isinstance(t, Guard):
+        cond = eval_quantity(t.cond, {}, ctx.meadow)
+        out = _hnf(engine, t.body) if cond.is_zero else {}
+    elif isinstance(t, ProcVar):
+        raise OpenTerm(f"free process variable: {t.name}")
+    else:
+        raise TypeError(f"not a process term: {t!r}")
+
+    cache[t] = out
+    return out
+'''
+
+
+def reference_hnf():
+    """The reference `_hnf`, compiled in a copy of the normalize module's
+    namespace, so that it recurses into itself and its own merge rules."""
+    namespace = dict(vars(normalize_module))
+    exec(REFERENCE_STEPPER, namespace)
+    return namespace["_hnf"]
+
+
+def differential_terms(ctx):
+    """3000 seeded TermGen terms, then hand-built left and communication
+    merges, encapsulations, guards and data terms over them."""
+    gen = TermGen(ctx, random.Random(22), max_depth=3)
+    base = [gen.term() for _ in range(3000)]
+    one, two = QOne(), QAdd(QOne(), QOne())
+    data = [DataAction("a", (two,)), DataAction("b", (QConst(Fraction(2)),)),
+            DataAction("b", (one,)), DataAction("a", (one, two)), DataAction("b", (two, two))]
+    hand = list(itertools.product(data, data))
+    hand = [CommMerge(x, y) for x, y in hand] + [Par(x, y) for x, y in hand]
+    for x, y in zip(base[:200:2], base[1:200:2]):
+        hand += [
+            LeftMerge(x, y),
+            CommMerge(x, y),
+            CommMerge(Alt(x, y), y),
+            LeftMerge(CommMerge(x, y), y),
+            Encap(frozenset({"a"}), Par(x, y)),
+            Encap(frozenset(), Seq(x, y)),
+            Guard(QAdd(one, QNeg(one)), Alt(x, y)),
+            Guard(two, Par(x, y)),
+            Seq(Guard(QZero(), x), CommMerge(y, x)),
+        ]
+    return base + hand
+
+
+class TestLeanStepKernel:
+    """The step kernel against the reference stepper: the same head lists,
+    in the same order, the same tables and the same numbered LTSs."""
+
+    @pytest.mark.parametrize("debug", [False, True], ids=["plain", "guard-chain"])
+    def test_heads_and_tables_match_the_reference(self, ctx, monkeypatch, debug):
+        reference = reference_hnf()
+        kernel = normalize_module._hnf
+        for t in differential_terms(ctx):
+            engines = []
+            for hnf in (kernel, reference):
+                monkeypatch.setattr(normalize_module, "_hnf", hnf)
+                engine = Engine(ctx, debug_guard_chain=debug)
+                heads = list(hnf(engine, t))
+                engine.normalize(t)
+                engines.append((heads, [(k, list(v)) for k, v in engine.hnf_cache.items()],
+                                list(engine._nf.items())))
+            assert engines[0] == engines[1], t
+
+    def test_lts_numbering_matches_the_reference(self, ctx, monkeypatch):
+        reference = reference_hnf()
+        for t in differential_terms(ctx):
+            lts = build_lts(t, ctx)
+            with monkeypatch.context() as patch:
+                patch.setattr(lts_module, "_hnf", reference)
+                assert build_lts(t, ctx) == lts, t
+
+
+PROCESS_TERM_EXAMPLES = {
+    Deadlock: Deadlock(),
+    Action: a,
+    DataAction: DataAction("a", (QOne(),)),
+    Alt: Alt(a, b),
+    Seq: Seq(a, b),
+    Par: Par(a, b),
+    LeftMerge: LeftMerge(a, b),
+    CommMerge: CommMerge(a, b),
+    Encap: Encap(frozenset({"a"}), a),
+    Guard: Guard(QZero(), a),
+    ProcVar: ProcVar("X"),
+}
+
+
+def test_every_process_term_class_reaches_a_rule(ctx):
+    # _hnf dispatches on the exact class, so no node class may be subclassed
+    classes = {v for v in vars(terms_module).values()
+               if isinstance(v, type) and issubclass(v, terms_module.ProcessTerm)}
+    assert classes - {terms_module.ProcessTerm} == set(PROCESS_TERM_EXAMPLES)
+    for cls, t in PROCESS_TERM_EXAMPLES.items():
+        assert type(t) is cls and not cls.__subclasses__()
+        if cls is ProcVar:
+            with pytest.raises(OpenTerm):
+                _hnf(Engine(ctx), t)
+        else:
+            assert isinstance(_hnf(Engine(ctx), t), dict)
+    with pytest.raises(TypeError):
+        _hnf(Engine(ctx), QOne())
