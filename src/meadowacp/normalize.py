@@ -5,6 +5,10 @@ action literal optionally followed by a basic term, ordered only when it
 is printed.  The empty set is deadlock.  Two closed ground terms are equal
 in the equational theory exactly when their basic terms coincide, which is
 what :func:`equal_terms` decides.
+
+A merge's basic term is the merge of its operands' basic terms (`_merge`);
+other operators, and a merge under ``.``, encap or ``|``, are stepped through
+their head normal forms (`_hnf`), as the oracle steps every term.
 """
 
 from __future__ import annotations
@@ -155,30 +159,34 @@ def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
     return {(a, rhs if k is None else Par(k, rhs)): None for a, k in head}
 
 
+def _sync(engine: "Engine", a1: ActionLiteral, a2: ActionLiteral, k1=None, k2=None):
+    """The action a1 | a2, or None: gamma must be defined on the names and
+    the data equal (t3.12).  Under --debug-guard-chain the decision is
+    checked against the guard chain, followed by the residual of k1 and k2."""
+    name = engine.ctx.comm.get((a1.name, a2.name))
+    if name is None or len(a1.args) != len(a2.args):
+        return None
+    action = ActionLiteral(name, a1.args) if a1.args == a2.args else None
+    if engine.debug_guard_chain and a1.args:
+        residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)
+        direct: Hnf = {} if action is None else {(action, residual): None}
+        # the chain holds no communication merge, so the cross-check cannot recurse
+        chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
+        if chain != direct:
+            raise GuardChainMismatch(f"{a1} | {a2}: direct route {_show(direct)} vs "
+                                     f"guard chain {_show(chain)}")
+    return action
+
+
 def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
-    """The hnf of x | y, given the hnfs of x and y: two head summands
-    synchronize when gamma is defined on their names and their data are
-    equal (t3.12); every other pair is dropped."""
-    comm = engine.ctx.comm
+    """The hnf of x | y, given the hnfs of x and y: one head summand for
+    each pair that synchronizes; every other pair is dropped."""
     acc: Hnf = {}
     for a1, k1 in left:
         for a2, k2 in right:
-            name = comm.get((a1.name, a2.name))
-            if name is None or len(a1.args) != len(a2.args):
-                continue
-            residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)
-            direct: Hnf = {}
-            if a1.args == a2.args:
-                direct[(ActionLiteral(name, a1.args), residual)] = None
-            if engine.debug_guard_chain and a1.args:
-                # the chain holds no communication merge, so the cross-check cannot recurse
-                chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
-                if chain != direct:
-                    raise GuardChainMismatch(
-                        f"{a1} | {a2}: direct route {_show(direct)} vs "
-                        f"guard chain {_show(chain)}"
-                    )
-            acc |= direct
+            action = _sync(engine, a1, a2, k1, k2)
+            if action is not None:
+                acc[(action, k2 if k1 is None else k1 if k2 is None else Par(k1, k2))] = None
     return acc
 
 
@@ -251,16 +259,42 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
     return out
 
 
+def _merge(engine: "Engine", x: BasicTerm, y: BasicTerm) -> BasicTerm:
+    """The normal form of X || Y: a . Y or a . (K || Y) for each summand a
+    or a . K of X, the same for each summand of Y, and one for each pair
+    that synchronizes.  Kept in ``engine._merges`` under both orders of the
+    pair; it recurses only from plain loops, so a level costs one frame."""
+    memo, summands = engine._merges, []
+    add = summands.append
+    for s in x.summands:
+        k = s.continuation
+        add(Summand(s.action, y if k is None else memo.get((k, y)) or _merge(engine, k, y)))
+    for s in y.summands:
+        k = s.continuation
+        add(Summand(s.action, x if k is None else memo.get((x, k)) or _merge(engine, x, k)))
+    for s in x.summands:
+        for r in y.summands:
+            action = _sync(engine, s.action, r.action)
+            if action is not None:
+                k, l = s.continuation, r.continuation
+                add(Summand(action, l if k is None else k if l is None
+                            else memo.get((k, l)) or _merge(engine, k, l)))
+    out = memo[(x, y)] = memo[(y, x)] = BasicTerm(frozenset(summands))
+    return out
+
+
 class Engine:
-    """The state of one query: its head normal forms and normal forms.
-    Normal forms are interned like every node, so all engines share them;
-    create one engine per query, as its tables hold every term it met."""
+    """The state of one query: its tables of hnfs, normal forms and merges
+    of normal forms.  Normal forms are interned like every node, so all
+    engines share them; create one engine per query, as its tables hold
+    every term it met."""
 
     def __init__(self, ctx: SpecContext, debug_guard_chain: bool = False):
         self.ctx = ctx
         self.debug_guard_chain = debug_guard_chain
         self.hnf_cache: dict = {}
         self._nf: dict = {}
+        self._merges: dict = {}
 
     def normalize(self, t: ProcessTerm) -> BasicTerm:
         """The canonical basic term of a closed, ground term."""
@@ -271,6 +305,12 @@ class Engine:
         hit = nf.get(t)
         if hit is not None:
             return hit
+        if type(t) is Par:
+            # the merge of the operands' normal forms; the oracle steps t instead
+            x = nf.get(t.lhs) or self._normalize(t.lhs)
+            y = nf.get(t.rhs) or self._normalize(t.rhs)
+            out = nf[t] = self._merges.get((x, y)) or _merge(self, x, y)
+            return out
         if type(t) is Seq and type(t.lhs) is Seq:
             # A5: (x . y) . z has the normal form of x . (y . z); stepping the
             # whole left spine right-nested keeps a sequence linear, while

@@ -1,6 +1,7 @@
 """Tests for the axiom-suite harness: coverage, determinism, report shape."""
 
 import importlib
+import inspect
 import itertools
 import json
 import random
@@ -159,7 +160,7 @@ def _process_nodes(t):
 
 class TestDualCheck:
     """Each route checks the other: a fault in one shows as a disagreement,
-    a fault in a rule both share as a failing axiom."""
+    a fault in a rule both share as a failing axiom (tests/test_mutants.py)."""
 
     def test_each_term_passes_the_gate_once(self, ctx, monkeypatch):
         # one list per walk of the gate, of the objects it tests by isinstance
@@ -212,21 +213,33 @@ class TestDualCheck:
         with pytest.raises(OracleDisagreement):
             _check_eq_instance(a, Seq(a, Deadlock()), ctx)
 
-    def test_a_wrong_rule_both_routes_share_fails_its_axiom(self, ctx, monkeypatch):
-        real = normalize._hnf
+    T2_13 = "a || b = (a |_ b + b |_ a) + a | b"  # an instance of t2.13
+
+    def test_a_merge_of_normal_forms_without_synchronizations_disagrees(self, ctx, monkeypatch):
+        # the fault is in the normal-form route's merge only
+        src = inspect.getsource(normalize._merge)
+        assert src.count("if action is not None:") == 1
+        namespace = dict(vars(normalize))
+        exec(src.replace("if action is not None:", "if False:"), namespace)
+        monkeypatch.setattr(normalize, "_merge", namespace["_merge"])
+        lhs, rhs = self.T2_13.split(" = ")
+        with pytest.raises(OracleDisagreement, match="normal forms say False, bisimulation says"):
+            _check_eq_instance(parse_term(lhs, ctx), parse_term(rhs, ctx), ctx)
+
+    def test_an_oracle_par_rule_without_communication_disagrees(self, ctx, monkeypatch):
+        # the fault is in the oracle's Par rule only
+        real = lts._hnf
 
         def hnf_without_communication(engine, t):
-            if isinstance(t, Par):
-                left = hnf_without_communication(engine, t.lhs)
-                right = hnf_without_communication(engine, t.rhs)
+            if type(t) is Par:
+                left, right = real(engine, t.lhs), real(engine, t.rhs)
                 return normalize._left_merge(left, t.rhs) | normalize._left_merge(right, t.lhs)
             return real(engine, t)
 
-        monkeypatch.setattr(normalize, "_hnf", hnf_without_communication)
         monkeypatch.setattr(lts, "_hnf", hnf_without_communication)
-        # at seed 0 the first instance of t2.13 with a synchronization is the 26th
-        report = check_acp_axioms(ctx, samples=30)
-        assert {r.id: r.status for r in report.axioms}["t2.13"] == "fail"
+        lhs, rhs = self.T2_13.split(" = ")
+        with pytest.raises(OracleDisagreement, match="normal forms say True, bisimulation says"):
+            _check_eq_instance(parse_term(lhs, ctx), parse_term(rhs, ctx), ctx)
 
 
 ALL_SCHEMAS = ACP_AXIOMS + ENRICHED_AXIOMS + DERIVED_AXIOMS

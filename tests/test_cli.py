@@ -54,6 +54,20 @@ class TestNormalize:
             f"guard chain {{c(1) . {residual}}}\n"
         )
 
+    @pytest.mark.parametrize("op", ["|", "||"])
+    def test_a_guard_chain_mismatch_in_a_merge_exits_2(
+        self, sample_spec_path, capsys, monkeypatch, op
+    ):
+        # | and the merge of normal forms share one synchronization decision
+        normalize = importlib.import_module("meadowacp.normalize")
+        real = normalize.guard_chain
+        monkeypatch.setattr(normalize, "guard_chain", lambda *args: real(*args).body)
+        term = f"a(1) {op} b(2)"
+        assert main(["normalize", "--spec", sample_spec_path, "--debug-guard-chain", term]) == 2
+        assert capsys.readouterr().err == (
+            "internal disagreement: a(1) | b(2): direct route {} vs guard chain {c(1)}\n"
+        )
+
     def test_parse_error_exits_1(self, sample_spec_path, capsys):
         rc = main(["normalize", "--spec", sample_spec_path, "a +"])
         assert rc == 1

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import random
+import sys
 import weakref
 from fractions import Fraction
 
@@ -38,9 +39,11 @@ from meadowacp import (
     normalize,
     parse_spec,
     parse_term,
+    pretty_term,
 )
 from meadowacp import lts as lts_module
 from meadowacp import terms as terms_module
+from meadowacp.axioms import _check_eq_instance
 from meadowacp.lts import bisimilar_terms
 from meadowacp.normalize import _hnf, guard_chain
 
@@ -343,6 +346,20 @@ class TestDeepTerms:
         assert not equal_terms(left, parse_term(f"{run} . b + {run} . a", ctx), ctx)
 
 
+    def test_a_900_action_sequence_merged_with_b(self, ctx):
+        # the merge of normal forms recurses from plain loops, one frame a level
+        assert sys.getrecursionlimit() == 1000
+        run = parse_term(" . ".join(["a"] * 900), ctx)
+        nf = normalize(Par(run, b), ctx)
+        tail = normalize(parse_term(" . ".join(["a"] * 899), ctx), ctx)
+        rest = {s.action.name: s.continuation for s in nf.summands if s.action.name != "a"}
+        same = rest == {"b": normalize(run, ctx), "c": tail}
+        assert same
+        equivalent, nf_lhs, nf_rhs = _check_eq_instance(Par(run, b), Par(b, run), ctx)
+        same = nf_lhs is nf_rhs is nf
+        assert equivalent and same
+
+
 class TestSequencesModuloAssociativity:
     def test_a_varied_sequence_is_linear_in_the_normal_form_route(self, ctx):
         rng = random.Random(18)
@@ -531,6 +548,69 @@ class TestLeanStepKernel:
             with monkeypatch.context() as patch:
                 patch.setattr(lts_module, "_hnf", reference)
                 assert build_lts(t, ctx) == lts, t
+
+
+# Engine._normalize as it was before a merge became the merge of its
+# operands' normal forms: every operator, the merge too, stepped through
+# _hnf over its syntactic residuals. Kept verbatim as the reference that
+# the normal-form route must match.
+REFERENCE_NORMALIZE = '''
+    def _normalize(self, t: ProcessTerm) -> BasicTerm:
+        nf = self._nf
+        hit = nf.get(t)
+        if hit is not None:
+            return hit
+        if type(t) is Seq and type(t.lhs) is Seq:
+            # A5: (x . y) . z has the normal form of x . (y . z); stepping the
+            # whole left spine right-nested keeps a sequence linear, while
+            # the oracle still steps t as it is written
+            x, rest = t.lhs, t.rhs
+            while type(x) is Seq:
+                x, rest = x.lhs, Seq(x.rhs, rest)
+            out = nf[t] = self._normalize(Seq(x, rest))
+            return out
+        summands = []
+        for a, k in self.hnf_cache.get(t) or _hnf(self, t):
+            summands.append(Summand(a, k if k is None else nf.get(k) or self._normalize(k)))
+        out = nf[t] = BasicTerm(frozenset(summands))
+        return out
+'''
+
+
+def reference_engine():
+    """An Engine whose `_normalize` is the reference, compiled in a copy of
+    the normalize module's namespace."""
+    namespace = dict(vars(normalize_module))
+    exec("class ReferenceEngine(Engine):" + REFERENCE_NORMALIZE, namespace)
+    return namespace["ReferenceEngine"]
+
+
+FIVE_WAY_MERGE = " || ".join(["((a . b + c . a) . (b + c))"] * 5)
+
+
+class TestMergeOfNormalForms:
+    """A merge's normal form is the merge of its operands' normal forms: the
+    same object as stepping the merge through _hnf gives."""
+
+    @pytest.mark.parametrize("debug", [False, True], ids=["plain", "guard-chain"])
+    def test_normal_forms_match_the_reference(self, ctx, debug):
+        reference = reference_engine()
+        gen = TermGen(ctx, random.Random(23), max_depth=5)
+        # the first term that differs, not the normal forms: the repr of a
+        # normal form unfolds its DAG
+        differs = next((t for t in differential_terms(ctx) + [gen.term() for _ in range(1000)]
+                        if Engine(ctx, debug_guard_chain=debug).normalize(t)
+                        is not reference(ctx, debug_guard_chain=debug).normalize(t)), None)
+        assert differs is None, pretty_term(differs)
+
+    def test_a_five_way_merge_merges_each_pair_of_normal_forms_once(self, ctx):
+        t = parse_term(FIVE_WAY_MERGE, ctx)
+        stepped = reference_engine()(ctx)
+        engine = Engine(ctx)
+        same = engine.normalize(t) is stepped.normalize(t)
+        assert same
+        assert len(stepped.hnf_cache) == 5210
+        assert len(engine.hnf_cache) <= 20 and len(engine._merges) <= 600
 
 
 PROCESS_TERM_EXAMPLES = {
