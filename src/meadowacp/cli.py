@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .axioms import (
@@ -114,12 +115,12 @@ EXHAUSTIVE_CARRIER = 64
 
 
 def cmd_axioms(args) -> int:
-    ctx = _load_spec(args.spec) if args.spec else None
-    meadow = ctx.meadow if args.spec else MeadowKind.from_name(args.meadow)
+    ctx = None if args.spec is None else _load_spec(args.spec)
+    meadow = MeadowKind.from_name(args.meadow) if ctx is None else ctx.meadow
     exhaustive = meadow.is_finite and meadow.modulus <= EXHAUSTIVE_CARRIER
     mode = "exhaustive" if exhaustive else "random"
     reports = [check_meadow_axioms(meadow, mode, args.samples, args.seed)]
-    if args.spec:
+    if ctx is not None:
         for check in (check_acp_axioms, check_enriched_axioms, check_derived):
             reports.append(check(ctx, args.samples, args.seed))
 
@@ -162,13 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lts", help="build the labelled transition system of a term")
     p.add_argument("--spec", required=True)
     p.add_argument("term")
-    p.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
-    p.add_argument("--json", action="store_true")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--dot", action="store_true", help="emit Graphviz DOT")
+    g.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_lts)
 
     p = sub.add_parser("axioms", help="run the axiom verification suites")
-    p.add_argument("--spec", help="run meadow + process + enrichment + derived suites")
-    p.add_argument("--meadow", help="run only the meadow suite: q0, fP or trivial")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--spec", help="run meadow + process + enrichment + derived suites")
+    g.add_argument("--meadow", help="run only the meadow suite: q0, fP or trivial")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
@@ -182,12 +185,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "axioms" and not (args.spec or args.meadow):
-        parser.error("axioms requires --spec or --meadow")
     if getattr(args, "samples", 1) < 1:
         parser.error("--samples must be >= 1")
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: say nothing, and let the interpreter's last flush write nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (SpecError, MeadowError, ProcessError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

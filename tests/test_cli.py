@@ -205,19 +205,19 @@ class TestLts:
         assert out.startswith("digraph")
         assert "doublecircle" in out
 
-    def test_state_numbering_does_not_depend_on_the_string_hash(self, sample_spec_path):
-        src = str(Path(meadowacp.__file__).parent.parent)
-        for flag in ("--json", "--dot"):
-            outputs = set()
-            for seed in ("0", "1"):
-                env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-                argv = ["lts", "--spec", sample_spec_path, "a . b || b . c || c(1)", flag]
-                run = subprocess.run(
-                    [sys.executable, "-m", "meadowacp.cli", *argv],
-                    env=env, capture_output=True, text=True, check=True,
-                )
-                outputs.add(run.stdout)
-            assert len(outputs) == 1, flag
+    def test_a_reader_that_closes_the_pipe_gets_no_message(self, sample_spec_path):
+        # about 250 kB of transitions: far more than the pipe holds when the reader closes it
+        term = "a . b || b . c || c . a || a . c || b . a || c . b"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "meadowacp.cli", "lts", "--spec", sample_spec_path, term],
+            env=dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.readline().startswith("states: ")
+        proc.stdout.close()
+        with proc.stderr:
+            assert proc.stderr.read() == ""
+        assert proc.wait(timeout=60) == 1
 
 
 class TestAxioms:
@@ -329,14 +329,35 @@ class TestAxioms:
             main(["axioms", "--meadow", "f3", "--samples", "0"])
 
 
+@pytest.mark.parametrize("argv", [["axioms", "--spec", "SPEC", "--meadow", "f5"],
+                                  ["lts", "--spec", "SPEC", "--dot", "--json", "a"]])
+def test_flags_that_would_be_ignored_exit_2(argv, sample_spec_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sample_spec_path if arg == "SPEC" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert sum("error:" in line for line in capsys.readouterr().err.splitlines()) == 1
+
+
 def test_importing_the_cli_loads_no_typing_inspect_or_dataclasses():
-    # -S: a .pth file that site reads may import typing itself
+    # -S: a .pth file that site reads may import typing itself; -W error: a deprecation in the
+    # stdlib, or in how a Python version keeps what interned() reads, fails the import
     src = str(Path(meadowacp.__file__).parent.parent)
     script = (f"import sys; sys.path.insert(0, {src!r}); import meadowacp.cli; "
               "print(sorted({'typing', 'inspect', 'dataclasses'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-I", "-S", "-c", script],
+    run = subprocess.run([sys.executable, "-I", "-S", "-W", "error", "-c", script],
                          capture_output=True, text=True, check=True)
     assert run.stdout == "[]\n"
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    """perfbench/spans.py rebinds meadowacp names by attribute: renaming or
+    deleting one of them fails here, naming it."""
+    src = str(Path(meadowacp.__file__).parent.parent)
+    perfbench = str(Path(__file__).parent.parent / "perfbench")
+    script = (f"import sys; sys.path[:0] = [{src!r}, {perfbench!r}]; import meadowacp.cli, spans; "
+              "tracer = spans.Tracer(); tracer.enable(); tracer.disable()")
+    run = subprocess.run([sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr.strip().rpartition("\n")[2]
 
 
 def test_the_parser_is_reused_without_leaking_arguments(sample_spec_path, capsys):

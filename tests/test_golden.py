@@ -24,20 +24,28 @@ The files are the reference: regenerate them, with
     PYTHONPATH=src python tests/test_golden.py
 
 only for a change that is meant to alter the output, and say so.
+
+With --transcript, it prints as JSON what every command that these files and
+perfbench/golden/axioms-spec.json pin, and step_commands(), print; a test
+compares that under PYTHONHASHSEED 0 and 1 with each other and with the files.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
+import meadowacp
 from meadowacp.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "cli-outputs.txt"
 MEADOW_GOLDEN = Path(__file__).parent / "golden" / "meadow-reports.json"
 PARSE_GOLDEN = Path(__file__).parent / "golden" / "parse-errors.txt"
+AXIOMS_GOLDEN = Path(__file__).parent.parent / "perfbench" / "golden" / "axioms-spec.json"
 MEADOWS = (["q0", "--samples", "300", "--seed", "7"], ["f17"], ["trivial"], ["f3"])
 
 SPECS = {
@@ -101,20 +109,17 @@ def command_lines(terms):
 
 
 def run(argv, spec_dir: Path):
-    """The exit code and standard output of `meadowacp argv`, with the spec
-    name resolved in spec_dir."""
-    argv = list(argv)
-    i = argv.index("--spec") + 1
-    argv[i] = str(spec_dir / argv[i])
+    """The exit code, stdout and stderr of `meadowacp argv`, with each spec
+    name (an argument ending in .acpm) resolved in spec_dir."""
+    argv = [str(spec_dir / arg) if arg.endswith(".acpm") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    assert err.getvalue() == "", (argv, err.getvalue())
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 def write_specs(spec_dir: Path) -> None:
-    for name, text in SPECS.items():
+    for name, text in {**SPECS, **STEP_SPECS}.items():
         (spec_dir / name).write_text(text)
 
 
@@ -408,7 +413,7 @@ def test_meadow_reports_match_the_golden_file():
 def test_cli_outputs_match_the_golden_file(tmp_path):
     write_specs(tmp_path)
     for argv, rc, expected in read_golden():
-        assert run(argv, tmp_path) == (rc, expected), argv
+        assert run(argv, tmp_path) == (rc, expected, ""), argv
 
 
 def test_the_golden_file_covers_every_command_on_every_term():
@@ -419,14 +424,94 @@ def test_the_golden_file_covers_every_command_on_every_term():
     assert GOLDEN.stat().st_size < 100_000
 
 
+# gamma written in the other order, and two definitions
+STEP_SPECS = {
+    "f3-ba.acpm": "act a, b, c;\ncomm b | a = c;\nmeadow F 3;\n",
+    "defs.acpm": "act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n"
+                 "proc P = a . b + [1 + 2] -> c(1);\nproc Q = P || b . a;\n",
+}
+
+
+def step_commands():
+    """The commands that no golden file pins, by name. Normal forms are sets,
+    so their printed order must come from rendering alone; equiv prints both."""
+    seq, m300, m50 = (" . ".join(map(random.Random(seed).choice, ["abc"] * n))
+                      for seed, n in ((18, 900), (23, 300), (24, 50)))
+    a300 = " . ".join("a" * 300)
+    f3, defs = ["--spec", "f3.acpm"], ["--spec", "defs.acpm"]
+    steps = {
+        "merge": ["normalize", *f3, "--json", "(a + b) . c || a . (b + c)"],
+        "guards": ["normalize", *f3, "--json", "[1 + 2] -> a(1) + [0] -> b(2) . a(0) + b(1) . c"],
+        "sequences": ["normalize", *f3, "--json", f"{a300} . b + {a300} . c"],
+        "comm a | b": ["normalize", *f3, "--json", "a || b"],
+        "comm b | a": ["normalize", "--spec", "f3-ba.acpm", "--json", "a || b"],
+        "left-nested": ["normalize", *f3, seq],
+        "right-nested": ["normalize", *f3, " . (".join(seq.split(" . ")) + ")" * 899],
+        "mirror 300": ["equiv", *f3, f"{m300} || b(1)", f"b(1) || {m300}"],
+        "mirror 50": ["equiv", *f3, f"{m50} || b(1) . a", f"b(1) . a || {m50}"],
+        "parentheses": ["normalize", *f3, "--json", "(" * 5000 + "a . b || c" + ")" * 5000],
+        "defs equiv": ["equiv", *defs, "--json", "Q", "P || b . a"],
+    }
+    for t in ("Q", "P . Q + a . P"):
+        steps[f"defs normalize {t}"] = ["normalize", *defs, "--json", t]
+        steps[f"defs lts {t}"] = ["lts", *defs, "--dot", t]
+    return steps
+
+
+def transcript(spec_dir: Path) -> dict:
+    """[argv, exit code, stdout, stderr] of every command, by the golden file
+    that pins it or "step"; a parse input's stdout is its golden line."""
+    groups = {
+        GOLDEN.name: [argv for argv, _, _ in read_golden()],
+        MEADOW_GOLDEN.name: [["axioms", "--meadow", *args, "--json"] for args in MEADOWS],
+        AXIOMS_GOLDEN.name: [["axioms", "--spec", "f3.acpm", "--samples", "94", "--seed", "0",
+                              "--json"]],
+        "step": step_commands().values(),
+    }
+    out = {name: [[argv, *run(argv, spec_dir)] for argv in argvs] for name, argvs in groups.items()}
+    out[PARSE_GOLDEN.name] = [[[w, t], 0, f"{json.dumps([w, t])} {parse_outcome(w, t)}\n", ""]
+                              for w, t, _ in read_parse_golden()]
+    return out
+
+
+def test_every_output_is_the_same_under_two_string_hash_seeds():
+    """Tier-1 runs under one random seed, where an order that follows the
+    string hash would only flake; under two fixed seeds it fails every time."""
+    env = dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent))
+    procs = [subprocess.Popen([sys.executable, __file__, "--transcript"], stdout=subprocess.PIPE,
+                              env=dict(env, PYTHONHASHSEED=seed)) for seed in "01"]
+    outs = [proc.communicate(timeout=300)[0] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    t0, t1 = map(json.loads, outs)
+    for name, entries in t0.items():
+        for a, b in zip(entries, t1[name]):
+            what = f"{name}: {str(a[0])[:200]}"
+            assert a == b, f"{what} differs under PYTHONHASHSEED 0 and 1"
+            assert a[3] == "" and (a[1] == 0 or name == GOLDEN.name), what
+    for path in (GOLDEN, MEADOW_GOLDEN, AXIOMS_GOLDEN, PARSE_GOLDEN):
+        text, at = path.read_text(encoding="utf-8"), 0
+        for argv, rc, out, _ in t0[path.name]:
+            part = (f"$ {rc} {json.dumps(argv)}\n" if path == GOLDEN else "") + out
+            assert text.startswith(part, at), f"{path.name}: {str(argv)[:200]}"
+            at += len(part)
+        assert at == len(text), path.name
+    step = {name: out for name, (_, _, out, _) in zip(step_commands(), t0["step"])}
+    assert step["comm a | b"] == step["comm b | a"]
+    assert step["left-nested"] == step["right-nested"]
+    assert all(step[m].startswith("equivalent\n") for m in ("mirror 300", "mirror 50"))
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as d:
         write_specs(Path(d))
+        if sys.argv[1:] == ["--transcript"]:
+            json.dump(transcript(Path(d)), sys.stdout)
+            sys.exit(0)
         with open(GOLDEN, "w") as fh:
             for argv in command_lines(corpus()):
-                rc, out = run(argv, Path(d))
+                rc, out, err = run(argv, Path(d))
+                assert err == "", argv
                 assert not any(line.startswith("$ ") for line in out.splitlines()), argv
                 fh.write(f"$ {rc} {json.dumps(argv)}\n{out}")
     MEADOW_GOLDEN.write_text(meadow_reports())
