@@ -468,6 +468,8 @@ def _run_suite(
     samples: int,
     seed: int,
 ) -> AxiomReport:
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     violations = validate_comm_spec(ctx.comm, ctx.alphabet)
     if violations:
         raise ValueError("invalid communication function: " + "; ".join(violations))

@@ -558,6 +558,8 @@ def check_meadow_axioms(
     """
     if mode == "exhaustive" and not m.is_finite:
         raise InfiniteCarrier("exhaustive check requested on the rational meadow")
+    if mode != "exhaustive" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     drawn = list(_sample_assignments(m, mode, samples, seed))
     columns = {x: [uvw[i].value for uvw in drawn] for i, x in enumerate("uvw")}
     results = []

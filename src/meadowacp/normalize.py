@@ -13,6 +13,7 @@ their head normal forms (`_hnf`), as the oracle steps every term.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cmp_to_key
 
 from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned
@@ -43,16 +44,11 @@ class GuardChainMismatch(Exception):
     the guard-chain route in a data communication merge."""
 
 
-@interned
-class Summand:
-    """One alternative of a basic term; continuation None means successful
-    termination."""
+class Summand(namedtuple("Summand", "action continuation", defaults=(None,))):
+    """One alternative of a basic term, a pair; continuation None means
+    successful termination."""
 
-    action: ActionLiteral
-    continuation: BasicTerm | None = None
-
-    def __str__(self) -> str:
-        return _render(BasicTerm.of((self,)))
+    __slots__ = ()
 
 
 @interned
@@ -62,10 +58,6 @@ class BasicTerm:
     are one object, whichever engine built them."""
 
     summands: frozenset[Summand]
-
-    @staticmethod
-    def of(summands) -> "BasicTerm":
-        return BasicTerm(frozenset(summands))
 
     @property
     def is_deadlock(self) -> bool:
@@ -83,9 +75,16 @@ class BasicTerm:
 def _render(root: BasicTerm) -> str:
     """The text of a normal form, on an explicit stack, so deep ones do not
     exhaust the interpreter's; each distinct node is ordered and rendered
-    once, after its continuations."""
-    text: dict[object, str] = {}
+    once, after its continuations, and its text dropped after its last use."""
+    text: dict[BasicTerm, str] = {}
     order: dict[BasicTerm, list[Summand]] = {}
+    uses, stack = {}, [root]  # node -> summands of distinct nodes that continue with it
+    while stack:
+        for _, k in stack.pop().summands:
+            if k is not None:
+                if k not in uses:
+                    stack.append(k)
+                uses[k] = uses.get(k, 0) + 1
 
     def compare(s: Summand, t: Summand) -> int:
         # by action, termination first, then the continuations' ordered
@@ -97,7 +96,7 @@ def _render(root: BasicTerm) -> str:
             if c is None or d is None:
                 return -1 if c is None else 1
             for s, t in zip(order[c], order[d]):
-                if s is not t:
+                if s != t:
                     break
             else:  # one is a prefix of the other
                 return -1 if len(order[c]) < len(order[d]) else 1
@@ -114,15 +113,15 @@ def _render(root: BasicTerm) -> str:
         if bt in order:  # pushed twice before it was rendered
             continue
         order[bt] = summands = sorted(bt.summands, key=cmp_to_key(compare))
-        for s in summands:
-            if s not in text:
-                cont = s.continuation
-                if cont is None:
-                    text[s] = str(s.action)
-                else:
-                    inner = text[cont] if len(cont.summands) == 1 else f"({text[cont]})"
-                    text[s] = f"{s.action} . {inner}"
-        text[bt] = " + ".join(text[s] for s in summands) or "delta"
+        text[bt] = " + ".join(
+            str(s.action) if (k := s.continuation) is None
+            else f"{s.action} . {text[k]}" if len(k.summands) == 1
+            else f"{s.action} . ({text[k]})" for s in summands) or "delta"
+        for _, k in summands:
+            if k is not None:
+                uses[k] -= 1
+                if not uses[k]:
+                    del text[k]
     return text[root]
 
 

@@ -85,6 +85,13 @@ class TestSmallRuns:
         report = check_derived(ctx, samples=10, seed=1)
         assert report.passed()
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_a_suite_over_no_sample_is_refused(self, ctx, samples):
+        # else every axiom would pass with checked 0
+        for check in (check_acp_axioms, check_enriched_axioms, check_derived):
+            with pytest.raises(ValueError, match=rf"^samples must be >= 1, got {samples}$"):
+                check(ctx, samples=samples)
+
     def test_runs_are_deterministic(self, ctx):
         r1 = check_acp_axioms(ctx, samples=5, seed=3)
         r2 = check_acp_axioms(ctx, samples=5, seed=3)
@@ -181,7 +188,7 @@ class TestDualCheck:
     def test_a_wrong_normal_form_route_disagrees_with_the_oracle(self, ctx, monkeypatch):
         # a normal-form route that loses every summand of the left side
         real = axioms.normal_forms
-        lossy = lambda ts, ctx: (normalize.BasicTerm.of(()), real(ts, ctx)[1])
+        lossy = lambda ts, ctx: (normalize.BasicTerm(frozenset()), real(ts, ctx)[1])
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         a = Action("a")
         with pytest.raises(OracleDisagreement):
@@ -192,7 +199,7 @@ class TestDualCheck:
         real = axioms.normal_forms
         queries = itertools.count()
         lossy = lambda ts, ctx: (
-            (normalize.BasicTerm.of(()), real(ts, ctx)[1]) if next(queries) >= 3 else real(ts, ctx)
+            (normalize.BasicTerm(frozenset()), real(ts, ctx)[1]) if next(queries) >= 3 else real(ts, ctx)
         )
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         rerun = r"^t2\.01, sample 3, seed 7: normal forms say False, bisimulation says True"

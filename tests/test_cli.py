@@ -97,16 +97,18 @@ class TestNormalize:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS is Linux's")
     def test_running_out_of_memory_exits_1(self, tmp_path):
-        # 374 distinct nodes, but about 35M when its text is written out
+        # 431 distinct nodes (209 basic terms, 222 summands), but about 135M
+        # when its text is written out; printing keeps a node's text only
+        # until its last use, so a^12 (374 and 35M) prints under this cap
         import resource
 
         spec = tmp_path / "f3.acpm"
         spec.write_text("act a, b, c;\ncomm a | b = c;\nmeadow F 3;\n")
-        a12 = " . ".join(["a"] * 12)
+        a13 = " . ".join(["a"] * 13)
         cap = 400 * 2**20
         run = subprocess.run(
             [sys.executable, "-m", "meadowacp.cli", "normalize", "--spec", str(spec),
-             f"({a12}) || ({a12} . c)"],
+             f"({a13}) || ({a13} . c)"],
             env=dict(os.environ, PYTHONPATH=str(Path(meadowacp.__file__).parent.parent)),
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
             capture_output=True, text=True, timeout=120,
@@ -174,7 +176,7 @@ class TestEquiv:
     def test_disagreement_of_the_routes_exits_2(self, sample_spec_path, capsys, monkeypatch):
         # a normal-form route that loses every summand of the left side
         real = axioms.normal_forms
-        lossy = lambda ts, ctx: (BasicTerm.of(()), real(ts, ctx)[1])
+        lossy = lambda ts, ctx: (BasicTerm(frozenset()), real(ts, ctx)[1])
         monkeypatch.setattr(axioms, "normal_forms", lossy)
         assert main(["equiv", "--spec", sample_spec_path, "a + a", "a"]) == 2
         out, err = capsys.readouterr()
@@ -351,13 +353,20 @@ def test_importing_the_cli_loads_no_typing_inspect_or_dataclasses():
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps():
     """perfbench/spans.py rebinds meadowacp names by attribute: renaming or
-    deleting one of them fails here, naming it."""
+    deleting one of them fails here, naming it.  The benchmark also reads
+    normal forms: spans.nf_sizes walks their summands' continuations, and
+    the cli-large check reads each head summand's action."""
     src = str(Path(meadowacp.__file__).parent.parent)
     perfbench = str(Path(__file__).parent.parent / "perfbench")
     script = (f"import sys; sys.path[:0] = [{src!r}, {perfbench!r}]; import meadowacp.cli, spans; "
-              "tracer = spans.Tracer(); tracer.enable(); tracer.disable()")
+              "tracer = spans.Tracer(); tracer.enable(); tracer.disable(); "
+              "from meadowacp import default_context, normalize, parse_term; "
+              "ctx = default_context(); "
+              "nf = normalize(parse_term('a . (b + c) + b . (b + c)', ctx), ctx); "
+              "print(spans.nf_sizes(nf), sorted({str(s.action) for s in nf.summands}))")
     run = subprocess.run([sys.executable, "-I", "-B", "-c", script], capture_output=True, text=True)
     assert run.returncode == 0, run.stderr.strip().rpartition("\n")[2]
+    assert run.stdout == "(6, 9) ['a', 'b']\n"
 
 
 def test_the_parser_is_reused_without_leaking_arguments(sample_spec_path, capsys):

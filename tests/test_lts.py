@@ -228,16 +228,18 @@ class TestDot:
                 assert lines[2 + s] == f'  n{s} [shape={shape}, label="{label}"];'
         assert long_labels > 100
 
-    def test_labels_of_a_long_sequence_cost_linear_time(self, ctx):
+    def test_labels_of_a_long_sequence_cost_linear_time(self, ctx, monkeypatch):
         # each state's label renders only its first 60 characters, and the
-        # states share their subterms
-        def dot_time(n):
-            lts = build_lts(parse_term(" . ".join(["a"] * n), ctx), ctx)
-            best = float("inf")
-            for _ in range(5):
-                start = time.perf_counter()
-                to_dot(lts)
-                best = min(best, time.perf_counter() - start)
-            return best
+        # states share their subterms: three layouts an action
+        layout, calls = speclang._layout, []
 
-        assert dot_time(900) < 3 * dot_time(450)
+        def counting(*args):
+            calls.append(args)
+            return layout(*args)
+
+        monkeypatch.setattr(speclang, "_layout", counting)
+        for n in (450, 900):
+            lts = build_lts(parse_term(" . ".join(["a"] * n), ctx), ctx)
+            calls.clear()
+            to_dot(lts)
+            assert len(calls) == 3 * n

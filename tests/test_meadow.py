@@ -376,6 +376,13 @@ class TestMeadowAxioms:
         assert report.passed(strict_separation=True)
         assert all(r.checked == 1000 for r in report.axioms)
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_a_random_check_over_no_sample_is_refused(self, samples):
+        # else every axiom would pass with checked 0; exhaustive mode ignores samples
+        with pytest.raises(ValueError, match=rf"^samples must be >= 1, got {samples}$"):
+            check_meadow_axioms(Q0, mode="random", samples=samples)
+        assert all(r.checked == 27 for r in check_meadow_axioms(F3, samples=samples).axioms)
+
     def test_trivial_meadow_fails_only_separation(self):
         report = check_meadow_axioms(TRIVIAL, mode="exhaustive")
         assert not report.failures()

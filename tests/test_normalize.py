@@ -4,6 +4,7 @@ import importlib
 import itertools
 import random
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -211,8 +212,9 @@ class TestGuardAlgebra:
 
 
 def _reachable_nodes(nf):
-    """Every distinct BasicTerm and Summand object reachable from nf."""
-    seen = {}
+    """Every distinct BasicTerm object reachable from nf, and every distinct
+    summand of them, summands compared by equality."""
+    seen, summands = {}, set()
     stack = [nf]
     while stack:
         node = stack.pop()
@@ -220,19 +222,19 @@ def _reachable_nodes(nf):
             continue
         seen[id(node)] = node
         for s in node.summands:
-            if id(s) not in seen:
-                seen[id(s)] = s
-                if s.continuation is not None:
-                    stack.append(s.continuation)
-    return list(seen.values())
+            summands.add(s)
+            if s.continuation is not None:
+                stack.append(s.continuation)
+    return list(seen.values()), summands
 
 
 class TestHashConsing:
     def test_reachable_nodes_are_pairwise_unequal(self, ctx):
         # (a + b) . c || a . (b + c)
         t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
-        nodes = _reachable_nodes(normalize(t, ctx))
-        assert len(nodes) == len(set(nodes)) == 24
+        basic_terms, summands = _reachable_nodes(normalize(t, ctx))
+        assert len(basic_terms) == len(set(basic_terms))
+        assert len(basic_terms) + len(summands) == 24
 
     def test_equal_terms_gets_one_object_from_one_engine(self, ctx, monkeypatch):
         calls = []
@@ -258,8 +260,9 @@ class TestHashConsing:
         t = Par(Seq(Alt(a, b), c), Seq(a, Alt(b, c)))
         nf = normalize(t, ctx)
         pair = normal_forms((t, Alt(t, t)), ctx)
-        refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(next(iter(pair[0].summands)))]
-        del nf, pair
+        cont = next(iter(pair[0].summands)).continuation
+        refs = [weakref.ref(nf), weakref.ref(pair[0]), weakref.ref(cont)]
+        del nf, pair, cont
         assert all(ref() is None for ref in refs)
 
 
@@ -288,7 +291,7 @@ class TestUnorderedNormalForms:
         summands = list(nf.summands)
         assert nf.summands == frozenset(summands) and len(summands) == 4
         for permutation in itertools.permutations(summands):
-            built = BasicTerm.of(permutation)
+            built = BasicTerm(frozenset(permutation))
             assert built is nf
             assert str(built) == "a . b + a . (b + c) + c + c . a"
 
@@ -358,6 +361,19 @@ class TestDeepTerms:
         equivalent, nf_lhs, nf_rhs = _check_eq_instance(Par(run, b), Par(b, run), ctx)
         same = nf_lhs is nf_rhs is nf
         assert equivalent and same
+
+    def test_printing_keeps_a_node_text_only_until_its_last_use(self, ctx):
+        # the text of a^400 || b is quadratic in 400; the text of every
+        # node of its chain together would be cubic
+        nf = normalize(Par(parse_term(" . ".join(["a"] * 400), ctx), b), ctx)
+        tracemalloc.start()
+        try:
+            text = str(nf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 645_599
+        assert peak < 8 * len(text)
 
 
 class TestSequencesModuloAssociativity:

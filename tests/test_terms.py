@@ -44,6 +44,7 @@ from meadowacp import (
     Seq,
     SpecContext,
     Summand,
+    TermGen,
     build_lts,
     closed_ground_term,
     free_process_vars,
@@ -351,16 +352,16 @@ class TestContextDefaults:
 
 
 def _one_node_of_each_class():
-    """A fresh node of each of the 22 syntax classes, from fresh fields."""
+    """A fresh node of each of the 21 syntax classes, from fresh fields."""
     a, q = Action("a"), QVar("u")
     lit = ActionLiteral("a", (MeadowKind.prime_field(3).from_int(2),))
-    summand = Summand(lit, BasicTerm.of((Summand(ActionLiteral("b")),)))
+    summand = Summand(lit, BasicTerm(frozenset({Summand(ActionLiteral("b"))})))
     return [
         Deadlock(), a, DataAction("b", (QConst(Fraction(2)), q)), Alt(a, Deadlock()),
         Seq(a, a), Par(a, ProcVar("P")), LeftMerge(a, a), CommMerge(a, a),
         Encap(frozenset({"a"}), a), Guard(q, a), ProcVar("P"),
         QZero(), QOne(), QConst(Fraction(1, 3)), q, QAdd(q, QOne()), QMul(q, q),
-        QNeg(q), QInv(q), lit, summand, BasicTerm.of((summand,)),
+        QNeg(q), QInv(q), lit, BasicTerm(frozenset({summand})),
     ]
 
 
@@ -369,8 +370,8 @@ class TestInterning:
         first, second = _one_node_of_each_class(), _one_node_of_each_class()
         classes = {type(node) for node in first}
         syntax = set(ProcessTerm.__subclasses__()) | set(QuantityTerm.__subclasses__())
-        assert classes == syntax | {ActionLiteral, Summand, BasicTerm}
-        assert len(classes) == 22
+        assert classes == syntax | {ActionLiteral, BasicTerm}
+        assert len(classes) == 21
         for x, y in zip(first, second):
             assert x is y
             assert x == y and hash(x) == hash(y)
@@ -404,12 +405,25 @@ class TestInterning:
             case _:
                 pytest.fail("a Seq does not match Seq(first, second)")
         assert ActionLiteral("a") is ActionLiteral("a", ()) is ActionLiteral(name="a")
-        assert Summand(ActionLiteral("a")) is Summand(ActionLiteral("a"), None)
         for bad in (lambda: Seq(a), lambda: Seq(a, b, a), lambda: Seq(a, lhs=b)):
             with pytest.raises(TypeError):
                 bad()
         with pytest.raises(AttributeError):
             Seq(a, b).lhs = b
+
+    def test_a_summand_is_a_pair_and_only_its_basic_term_is_interned(self, ctx):
+        gen = TermGen(ctx, random.Random(25), max_depth=4)
+        nfs = [normalize(gen.term(), ctx) for _ in range(100)]
+        assert any(nf.summands for nf in nfs)
+        assert not [key for key in meadow._NODES if key[0] is Summand]
+        a, b = ActionLiteral("a"), ActionLiteral("b")
+        leaf = BasicTerm(frozenset({Summand(b)}))
+        assert Summand(a) == (a, None) and Summand(a, leaf) == (a, leaf)
+        assert (Summand(a).action, Summand(a).continuation) == (a, None)
+        assert Summand(a, leaf).continuation is leaf
+        for nf in (*nfs, BasicTerm(frozenset({Summand(a, leaf), Summand(b)}))):
+            assert pickle.loads(pickle.dumps(nf)) is nf
+            assert copy.copy(nf) is nf and copy.deepcopy(nf) is nf
 
     def test_the_table_keeps_no_node_alive(self):
         gc.collect()
@@ -514,9 +528,6 @@ class TestInterning:
             "QNeg(arg=QVar(name='u'))",
             "QInv(arg=QVar(name='u'))",
             "ActionLiteral(name='a', args=(MeadowValue(meadow=MeadowKind(modulus=3), value=2),))",
-            "Summand(action=ActionLiteral(name='a', args=(MeadowValue(meadow=MeadowKind(modulus=3),"
-            " value=2),)), continuation=BasicTerm(summands=frozenset({Summand(action=ActionLiteral("
-            "name='b', args=()), continuation=None)})))",
             "BasicTerm(summands=frozenset({Summand(action=ActionLiteral(name='a', args=(MeadowValue("
             "meadow=MeadowKind(modulus=3), value=2),)), continuation=BasicTerm(summands=frozenset("
             "{Summand(action=ActionLiteral(name='b', args=()), continuation=None)})))}))",
@@ -573,11 +584,11 @@ class TestInterning:
         try:
             fresh = Seq(a, b)
             hit = Seq(a, b)
-            fresh_with_default = Summand(lit)
+            fresh_with_default = ActionLiteral("one-frame-d")
             hit_with_default = ActionLiteral("one-frame-c")
         finally:
             sys.setprofile(None)
             gc.enable()
         assert frames == ["__new__"] * 4
         assert fresh is hit and hit_with_default is lit
-        assert fresh_with_default is Summand(lit, None)
+        assert fresh_with_default is ActionLiteral("one-frame-d", ())
