@@ -4,19 +4,22 @@ The LTS of a closed ground term is built by repeatedly taking head normal
 forms; successful termination is a transition into a distinguished
 absorbing Done state.  Every step makes the term strictly smaller, so the
 LTS is acyclic; bisimilarity is decided in one pass over it (Dovier,
-Piazza & Policriti 2004), which raises ValueError on a cycle, and never
-compares normal forms, so it is an independent oracle for the normalizer.
-The oracle's verdict on two terms takes the same pass over the terms
-reachable from either, and builds no LTS.
+Piazza & Policriti 2004), which raises ValueError on a cycle.  The
+oracle's verdict on two terms takes the same pass over the terms reachable
+from either, stepped by its own SOS rules (`_step`), not by head normal
+forms; it builds no LTS and compares no normal forms.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 
+from .meadow import eval_quantity
 from .normalize import Engine, _hnf
 from .speclang import pretty_prefix
-from .terms import ActionLiteral, ProcessTerm, SpecContext, closed_ground_term
+from .terms import (Action, ActionLiteral, Alt, CommMerge, DataAction, Deadlock, Encap, Guard,
+                    LeftMerge, Par, ProcessTerm, Seq, SpecContext, closed_ground_term)
 
 
 class LTS(namedtuple("LTS", "num_states initial transitions done terms", defaults=(None, ()))):
@@ -99,16 +102,62 @@ def bisimilar(l1: LTS, l2: LTS) -> bool:
     return initial[0] == initial[1]
 
 
+def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> list:
+    """The (action, residual) pairs of t, Done the residual None, by the SOS
+    rules of ACP with data (Plotkin 1981), kept in ``table``.  A right step
+    of a merge keeps the order, x || y', and a step of each side synchronize
+    when gamma is defined on their names and their data are equal.  Each
+    level of nesting costs one frame, as in `_hnf`."""
+    if t in table:
+        return table[t]
+    kind = type(t)
+    if kind is Par or kind is LeftMerge or kind is CommMerge:
+        x, y = t.lhs, t.rhs
+        left = table.get(x) or _step(ctx, table, x)
+        out = [] if kind is CommMerge else [(a, y if k is None else Par(k, y)) for a, k in left]
+        if kind is not LeftMerge:
+            right = table.get(y) or _step(ctx, table, y)
+            if kind is Par:
+                out += [(a, x if l is None else Par(x, l)) for a, l in right]
+            for a, k in left:
+                for b, l in right:
+                    name = ctx.comm.get((a.name, b.name))
+                    if name is not None and a.args == b.args:
+                        out.append((ActionLiteral(name, a.args),
+                                    l if k is None else k if l is None else Par(k, l)))
+    elif kind is Seq:
+        left, y = table.get(t.lhs) or _step(ctx, table, t.lhs), t.rhs
+        out = [(a, y if k is None else Seq(k, y)) for a, k in left]
+    elif kind is Alt:
+        left = table.get(t.lhs) or _step(ctx, table, t.lhs)
+        out = left + (table.get(t.rhs) or _step(ctx, table, t.rhs))
+    elif kind is DataAction:
+        m = ctx.meadow
+        out = [(ActionLiteral(t.name, tuple([eval_quantity(q, {}, m) for q in t.args])), None)]
+    elif kind is Action:
+        out = [(ActionLiteral(t.name), None)]
+    elif kind is Guard:
+        enabled = eval_quantity(t.cond, {}, ctx.meadow).is_zero
+        out = (table.get(t.body) or _step(ctx, table, t.body)) if enabled else []
+    elif kind is Encap:
+        hide = t.hide
+        body = table.get(t.body) or _step(ctx, table, t.body)
+        out = [(a, k if k is None else Encap(hide, k)) for a, k in body if a.name not in hide]
+    elif kind is Deadlock:
+        out = []
+    else:
+        raise TypeError(f"not a closed process term: {t!r}")
+    table[t] = out
+    return out
+
+
 def bisimilar_terms(t1: ProcessTerm, t2: ProcessTerm, ctx: SpecContext) -> bool:
     """Strong bisimilarity of two closed ground terms, decided on the one
-    state space of the terms reachable from either: each is stepped by one
-    engine and classed once, and no LTS is built.  Done is the residual
-    None."""
+    state space of the terms reachable from either: each is stepped by
+    `_step` in one table and classed once, and no LTS is built.  Done is
+    the residual None."""
     roots = [closed_ground_term(t, ctx) for t in (t1, t2)]
-    # an engine of its own: the oracle shares no cached result with the
-    # normal forms it checks
-    engine = Engine(ctx)
-    c1, c2 = _classes(roots, lambda s: _hnf(engine, s), {None: -1}, {})
+    c1, c2 = _classes(roots, partial(_step, ctx, {}), {None: -1}, {})
     return c1 == c2
 
 

@@ -8,7 +8,7 @@ what :func:`equal_terms` decides.
 
 A merge's basic term is the merge of its operands' basic terms (`_merge`);
 other operators, and a merge under ``.``, encap or ``|``, are stepped through
-their head normal forms (`_hnf`), as the oracle steps every term.
+their head normal forms (`_hnf`), as `lts.build_lts` is; the oracle has its own.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
 
 
 def _sync(engine: "Engine", a1: ActionLiteral, a2: ActionLiteral, k1=None, k2=None):
-    """The action a1 | a2, or None: gamma must be defined on the names and
-    the data equal (t3.12).  Under --debug-guard-chain the decision is
-    checked against the guard chain, followed by the residual of k1 and k2."""
+    """The action a1 | a2, or None, for the normal-form route: gamma must be
+    defined on the names and the data equal (t3.12).  Under --debug-guard-chain
+    it is checked against the guard chain, followed by the residual of k1 and k2."""
     name = engine.ctx.comm.get((a1.name, a2.name))
     if name is None or len(a1.args) != len(a2.args):
         return None

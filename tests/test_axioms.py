@@ -209,12 +209,12 @@ class TestDualCheck:
     def test_an_oracle_without_done_disagrees_with_the_normal_forms(self, ctx, monkeypatch):
         # without its Done state, termination looks like deadlock to the
         # oracle; the fault is in the oracle's steps only
-        real = lts._hnf
+        real = lts._step
         monkeypatch.setattr(
             lts,
-            "_hnf",
-            lambda engine, t: {(a, Deadlock() if k is None else k): None
-                               for a, k in real(engine, t)},
+            "_step",
+            lambda ctx, table, t: [(a, Deadlock() if k is None else k)
+                                   for a, k in real(ctx, table, t)],
         )
         a = Action("a")
         with pytest.raises(OracleDisagreement):
@@ -235,15 +235,16 @@ class TestDualCheck:
 
     def test_an_oracle_par_rule_without_communication_disagrees(self, ctx, monkeypatch):
         # the fault is in the oracle's Par rule only
-        real = lts._hnf
+        real = lts._step
 
-        def hnf_without_communication(engine, t):
+        def step_without_communication(ctx, table, t):
             if type(t) is Par:
-                left, right = real(engine, t.lhs), real(engine, t.rhs)
-                return normalize._left_merge(left, t.rhs) | normalize._left_merge(right, t.lhs)
-            return real(engine, t)
+                x, y = t.lhs, t.rhs
+                return ([(a, y if k is None else Par(k, y)) for a, k in real(ctx, table, x)]
+                        + [(a, x if l is None else Par(x, l)) for a, l in real(ctx, table, y)])
+            return real(ctx, table, t)
 
-        monkeypatch.setattr(lts, "_hnf", hnf_without_communication)
+        monkeypatch.setattr(lts, "_step", step_without_communication)
         lhs, rhs = self.T2_13.split(" = ")
         with pytest.raises(OracleDisagreement, match="normal forms say True, bisimulation says"):
             _check_eq_instance(parse_term(lhs, ctx), parse_term(rhs, ctx), ctx)

@@ -2,6 +2,7 @@
 
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -10,7 +11,10 @@ from meadowacp import (
     Action,
     ActionLiteral,
     Alt,
+    CommMerge,
     Deadlock,
+    Encap,
+    LeftMerge,
     Par,
     Seq,
     TermGen,
@@ -110,23 +114,79 @@ class TestBisimilarTerms:
                 assert bisimilar_terms(lhs, rhs, ctx) == by_lts
 
     def test_each_term_reachable_from_either_side_is_stepped_once(self, ctx, monkeypatch):
-        stepped = []
-        real = lts_module._hnf
-        monkeypatch.setattr(
-            lts_module, "_hnf", lambda engine, t: stepped.append((engine, t)) or real(engine, t)
-        )
+        # every state is handed to _classes's steps once, and _step computes
+        # the transitions of each term once, in the one table of the query
+        states, computed = [], []
+        real_classes, real_step = lts_module._classes, lts_module._step
+
+        def classes(roots, steps, *tables):
+            return real_classes(roots, lambda s: states.append(s) or steps(s), *tables)
+
+        def step(ctx, table, t):
+            if t not in table:
+                computed.append((id(table), t))
+            return real_step(ctx, table, t)
+
+        monkeypatch.setattr(lts_module, "_classes", classes)
+        monkeypatch.setattr(lts_module, "_step", step)
         rng = random.Random(5)
         gen = TermGen(ctx, rng, max_depth=3)
         for _ in range(20):
             x, y = gen.term(), gen.term()
             lhs, rhs = Alt(x, y), Alt(y, x)
-            states = {t for side in (lhs, rhs) for t in build_lts(side, ctx).terms} - {None}
-            stepped.clear()
+            states.clear()
+            computed.clear()
             assert bisimilar_terms(lhs, rhs, ctx)
-            terms = [t for _, t in stepped]
-            assert len({engine for engine, _ in stepped}) == 1
-            assert len(terms) == len(set(terms))
-            assert set(terms) == states
+            assert len(states) == len(set(states))
+            assert len(computed) == len(set(computed))
+            assert len({table for table, _ in computed}) == 1
+            # the states are the terms reachable from either side by _step
+            reachable, work, table = set(), [lhs, rhs], {}
+            while work:
+                t = work.pop()
+                if t is not None and t not in reachable:
+                    reachable.add(t)
+                    work += [k for _, k in real_step(ctx, table, t)]
+            assert set(states) == reachable
+
+    def test_a_right_step_of_a_merge_keeps_the_operand_order(self, ctx):
+        # on (a . b . c) || (b . c . a) the oracle classes the 16 pairs of
+        # the operands' states, 15 besides Done; build_lts, stepping the
+        # merge by its hnf, also meets states with the operands swapped and
+        # numbers 20, Done among them
+        for src, oracle, numbered in (("(a . b . c) || (b . c . a)", 15, 20),
+                                      ("(a . a . a) || (b . b . b) || (c . c . c)", 63, 116)):
+            t = parse_term(src, ctx)
+            cls = {None: -1}
+            lts_module._classes([t], partial(lts_module._step, ctx, {}), cls, {})
+            assert (len(cls) - 1, build_lts(t, ctx).num_states) == (oracle, numbered), src
+
+    def test_agrees_with_bisimilar_on_merges_encapsulations_and_data(self, ctx):
+        # seeded terms over every operator, data actions that synchronize
+        # with equal and with unequal data among them; each pair also as
+        # x | y against y | x, whose residuals the rules build in two orders
+        rng = random.Random(26)
+        gen = TermGen(ctx, rng, max_depth=2)
+        data = [parse_term(src, ctx) for src in ("a(1)", "b(1)", "b(2)", "a(1 + 1) . c",
+                                                  "b(2) . a")]
+        hides = [frozenset(), frozenset({"a"}), frozenset({"b", "c"})]
+
+        def term(depth):
+            if depth == 0:
+                return rng.choice(data) if rng.random() < 0.4 else gen.term()
+            op = rng.randrange(6)
+            if op == 5:
+                return Encap(rng.choice(hides), term(depth - 1))
+            return (Alt, Seq, Par, LeftMerge, CommMerge)[op](term(depth - 1), term(depth - 1))
+
+        bisimilar_pairs = 0
+        for _ in range(1000):
+            x, y = term(2), term(2)
+            for lhs, rhs in ((CommMerge(x, y), CommMerge(y, x)), (x, y)):
+                by_lts = bisimilar(build_lts(lhs, ctx), build_lts(rhs, ctx))
+                assert bisimilar_terms(lhs, rhs, ctx) == by_lts, (lhs, rhs)
+            bisimilar_pairs += by_lts  # the verdict on x and y
+        assert 0 < bisimilar_pairs < 1000
 
 
 def _chain(n: int) -> LTS:

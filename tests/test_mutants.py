@@ -2,41 +2,42 @@
 and the meadow operations behind guards and data.
 
 Each entry edits one rule in the source text of `normalize._hnf`,
-`_left_merge`, `_comm_merge`, `_sync` or `_merge`, or of `meadow._columns`
-or `eval_quantity`, compiles the edited copy in memory in its module's
-namespace (the source file is never written), and binds it, with
-`monkeypatch`, wherever `normalize`, `lts`, `meadow` and the package look
-the function up. The ACP, enriched and derived axiom suites then run on
-`default_context()` at 40 samples, seed 0. A mutant is killed when an axiom
-fails or the two routes of the dual check disagree (`OracleDisagreement`).
-A meadow mutant is also killed by the meadow suites (F3 exhaustive, Q0 at 40
-random samples), where a failed cancellation or general-inverse property
-counts too, or by a direct check of a computed quantity. Two more `_columns`
-mutants must each fail one of those two properties on F5 exhaustive.
+`_left_merge`, `_comm_merge`, `_sync` or `_merge`, of `lts._step` or
+`_classes`, or of `meadow._columns` or `eval_quantity`, compiles the edited
+copy in memory in its module's namespace (the source file is never
+written), and binds it, with `monkeypatch`, wherever `normalize`, `lts`,
+`meadow`, `axioms` and the package look the function up. The dual check
+then runs on `default_context()`: on 40 seeded pairs of inequivalent
+`TermGen` terms, so that an oracle that says "bisimilar" too often is
+caught, and through the ACP, enriched and derived axiom suites at 40
+samples, seed 0. A mutant is killed when an axiom fails or the two routes
+of the dual check disagree (`OracleDisagreement`). A meadow mutant is also
+killed by the meadow suites (F3 exhaustive, Q0 at 40 random samples), where
+a failed cancellation or general-inverse property counts too, or by a
+direct check of a computed quantity. Two more `_columns` mutants must each
+fail one of those two properties on F5 exhaustive.
 
-The table is split by route. The oracle steps every term with `_hnf`, so
-its merges go through `_hnf`'s Par rule, `_left_merge` and `_comm_merge`.
-The normal-form route gives a merge `x || y` the `_merge` of its operands'
-normal forms, steps a left-nested sequence as its right-nested rotation
-(A5), and steps the rest with `_hnf`, as the oracle does. A mutant of a
-rule that the two routes apply to different terms is killed by an
-`OracleDisagreement`, and a test pins which those are. The other entries
-break a rule that both routes apply alike (`_hnf`'s rules for `+`, encap,
-guards and data, and `_sync`, which decides a synchronization for both), so
-a failed axiom kills them; `SHARED` gives each one's reason.
+The two routes share no rule. The normal-form route gives a merge
+`x || y` the `_merge` of its operands' normal forms, steps a left-nested
+sequence as its right-nested rotation (A5), and steps the rest with `_hnf`,
+`_left_merge`, `_comm_merge` and `_sync`. The oracle steps every term by
+its own SOS rules, `lts._step`, and classes the states with `_classes`. So
+a mutant of either route must be killed by an `OracleDisagreement`.
 """
 
 import importlib
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
 
 import meadowacp
 from meadowacp import MeadowKind, MixedMeadow, QAdd, QConst, QInv, QNeg, QOne, QVar, QZero
-from meadowacp import default_context, lts, meadow, parse_term
+from meadowacp import TermGen, axioms, default_context, lts, meadow, parse_term
 from meadowacp.axioms import (
     OracleDisagreement,
+    _check_eq_instance,
     check_acp_axioms,
     check_derived,
     check_enriched_axioms,
@@ -79,19 +80,32 @@ KILLED = [
      "memo.get((k, y)) or _merge(engine, k, y)", "k"),
     ("_merge", "a synchronization drops L",
      "Summand(action, l if k is None", "Summand(action, None if k is None"),
+    ("_step", "Alt keeps only its left side",
+     "out = left + (table.get(t.rhs) or _step(ctx, table, t.rhs))", "out = left"),
+    ("_step", "Seq drops its rhs",
+     "else Seq(k, y)", "else k"),
+    ("_step", "Par loses its right steps",
+     "out += [(a, x if l is None else Par(x, l)) for a, l in right]", "pass"),
+    ("_step", "communication ignores data",
+     " and a.args == b.args", ""),
+    ("_step", "communication drops k2",
+     "else k if l is None else Par(k, l)", "else k"),
+    ("_step", "encap loses its filter",
+     " if a.name not in hide", ""),
+    ("_step", "guard polarity",
+     "if enabled else []", "if not enabled else []"),
+    ("_classes", "signature drops the action",
+     "frozenset([(a, cls[q]) for a, q in edges])", "frozenset([cls[q] for a, q in edges])"),
 ]
 
-# The entries that break a rule both routes share, with the reason; a failed
-# axiom kills them. Every other entry of KILLED must be killed by a
-# disagreement of the routes.
-SHARED = {
-    "Alt keeps only its left hnf": "both routes step + with _hnf",
-    "Encap loses its filter": "both routes step encap with _hnf",
-    "Encap does not re-wrap the residual": "both routes step encap with _hnf",
-    "a guard is enabled when its condition is nonzero": "both routes step guards with _hnf",
-    "data action arguments are dropped": "both routes step data actions with _hnf",
-    "communication ignores data equality": "_sync decides synchronizations for both routes",
-}
+# The functions of each route; no function is in both.
+NORMAL_FORM_ROUTE = {"_hnf", "_left_merge", "_comm_merge", "_sync", "_merge"}
+ORACLE = {"_step", "_classes"}
+
+# Equivalent: swapping the operands of a merge is a bisimulation, since the
+# context holds gamma in both orders.
+ORIENTATION = ("_step", "a right step of a merge is written y' || x",
+               "else Par(x, l)", "else Par(l, x)")
 
 # Equivalent without --debug-guard-chain: tuples of unequal length never
 # compare equal, so the data test alone drops such pairs.
@@ -126,23 +140,38 @@ MEADOW_PROPERTIES = [
 ]
 
 
-def mutate(monkeypatch, name: str, old: str, new: str, module=normalize) -> None:
-    """Bind a copy of module.<name> with old replaced by new."""
+def mutate(monkeypatch, name: str, old: str, new: str, module=None) -> None:
+    """Bind a copy of module.<name> with old replaced by new; the module is
+    `normalize` when it has the function, else `lts`."""
+    module = module or (normalize if hasattr(normalize, name) else lts)
     fn = getattr(module, name)
     src = inspect.getsource(fn)
     assert src.count(old) == 1, f"{old!r} does not occur once in {name}"
     copy: dict = {}
     exec(compile(src.replace(old, new), module.__file__, "exec"), vars(module), copy)
-    for owner in (normalize, lts, meadow, meadowacp):
+    for owner in (normalize, lts, meadow, axioms, meadowacp):
         if getattr(owner, name, None) is fn:
             monkeypatch.setattr(owner, name, copy[name])
 
 
+def _inequivalent_pairs() -> list:
+    gen = TermGen(default_context(), random.Random(0), max_depth=3)
+    return [(gen.term(), gen.term()) for _ in range(40)]
+
+
+# The suites check true equations only; on these pairs the routes must both
+# say "not equal".
+INEQUIVALENT = _inequivalent_pairs()
+
+
 def killed() -> str:
-    """How the suites kill the bound mutant: "axiom" for a failed axiom,
-    "disagreement" for an `OracleDisagreement`, "" when it survives."""
+    """How the dual check kills the bound mutant: "axiom" for a failed
+    axiom, "disagreement" for an `OracleDisagreement`, "" when it
+    survives."""
     ctx = default_context()
     try:
+        for lhs, rhs in INEQUIVALENT:
+            _check_eq_instance(lhs, rhs, ctx)
         for check in (check_acp_axioms, check_enriched_axioms, check_derived):
             if check(ctx, samples=40, seed=0).failures():
                 return "axiom"
@@ -151,31 +180,32 @@ def killed() -> str:
     return ""
 
 
+def test_the_pairs_are_inequivalent():
+    ctx = default_context()
+    assert not any(_check_eq_instance(lhs, rhs, ctx)[0] for lhs, rhs in INEQUIVALENT)
+
+
 @pytest.mark.parametrize("name, rule, old, new", KILLED, ids=[m[1] for m in KILLED])
 def test_mutant_is_killed(monkeypatch, name, rule, old, new):
     mutate(monkeypatch, name, old, new)
-    how = killed()
-    assert how, f"{name}: {rule} survives"
-    assert how == ("axiom" if rule in SHARED else "disagreement"), f"{name}: {rule}: {how}"
+    assert killed() == "disagreement", f"{name}: {rule} is not killed by a disagreement"
 
 
 def test_the_mutants_killed_by_a_disagreement_are_those_of_one_route():
-    assert set(SHARED) < {m[1] for m in KILLED}
-    assert [(m[0], m[1]) for m in KILLED if m[1] not in SHARED] == [
-        ("_hnf", "Seq's residual drops its rhs"),
-        ("_hnf", "Par loses its communication part"),
-        ("_hnf", "Par loses y |_ x"),
-        ("_left_merge", "x |_ y drops y from the residual"),
-        ("_comm_merge", "communication drops k2 from the residual"),
-        ("_merge", "X || Y drops its synchronizations"),
-        ("_merge", "X || Y drops the mirror half"),
-        ("_merge", "a terminating summand of X ends without Y"),
-        ("_merge", "K || Y drops Y"),
-        ("_merge", "a synchronization drops L"),
-    ]
+    assert not NORMAL_FORM_ROUTE & ORACLE
+    assert {m[0] for m in KILLED} == NORMAL_FORM_ROUTE | ORACLE
+    # the oracle's rules call none of the normal-form route's
+    for name in ORACLE | {"bisimilar_terms"}:
+        assert not NORMAL_FORM_ROUTE & set(getattr(lts, name).__code__.co_names), name
 
 
-@pytest.mark.parametrize("name, rule, old, new", [ARITY, NOOP], ids=[ARITY[1], NOOP[1]])
+def test_an_oracle_that_always_says_bisimilar_is_killed(monkeypatch):
+    monkeypatch.setattr(axioms, "bisimilar_terms", lambda *args: True)
+    assert killed() == "disagreement"
+
+
+@pytest.mark.parametrize("name, rule, old, new", [ARITY, NOOP, ORIENTATION],
+                         ids=[ARITY[1], NOOP[1], ORIENTATION[1]])
 def test_equivalent_mutant_survives(monkeypatch, name, rule, old, new):
     mutate(monkeypatch, name, old, new)
     assert not killed(), f"{name}: {rule} is killed"

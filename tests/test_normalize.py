@@ -393,8 +393,10 @@ class TestSequencesModuloAssociativity:
 
     def test_the_oracle_steps_the_sequence_as_written(self):
         ctx = parse_spec("act a, b, c, d;\n")
-        lts = build_lts(parse_term("a . b . c . d", ctx), ctx)
-        assert lts.terms[1] is Seq(Seq(Action("b"), Action("c")), Action("d"))
+        t = parse_term("a . b . c . d", ctx)
+        rest = Seq(Seq(Action("b"), Action("c")), Action("d"))
+        assert build_lts(t, ctx).terms[1] is rest
+        assert lts_module._step(ctx, {}, t) == [(ActionLiteral("a"), rest)]
 
 
 class TestMergeRule:
