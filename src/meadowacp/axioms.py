@@ -14,7 +14,7 @@ two routes is a hard failure.
 from __future__ import annotations
 
 import random
-from functools import cache, cached_property
+from functools import cached_property
 
 from .lts import bisimilar_terms
 from .meadow import (
@@ -81,7 +81,6 @@ class TermGen:
         self.max_depth = max_depth
         self.names = sorted(ctx.alphabet)
         self.lit_pool = self._lit_pool()
-        self._literal = cache(MeadowValue.literal)  # one literal per drawn value
 
     def _lit_pool(self) -> list[ActionLiteral]:
         m = self.ctx.meadow
@@ -99,7 +98,7 @@ class TermGen:
         return random_rational(self.rng)
 
     def quantity(self) -> QuantityTerm:
-        return self._literal(self.quantity_value())
+        return self.quantity_value().literal()
 
     def atom(self) -> ProcessTerm:
         r = self.rng.random()

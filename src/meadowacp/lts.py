@@ -102,49 +102,50 @@ def bisimilar(l1: LTS, l2: LTS) -> bool:
     return initial[0] == initial[1]
 
 
-def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> list:
+def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> dict:
     """The (action, residual) pairs of t, Done the residual None, by the SOS
-    rules of ACP with data (Plotkin 1981), kept in ``table``.  A right step
-    of a merge keeps the order, x || y', and a step of each side synchronize
-    when gamma is defined on their names and their data are equal.  Each
-    level of nesting costs one frame, as in `_hnf`."""
+    rules of ACP with data (Plotkin 1981), as the keys of a dict kept in
+    ``table``: a step reached twice, as in x + x, is kept once.  A right step
+    of a merge keeps the order, x || y'; two steps synchronize when gamma is
+    defined on their names and their data are equal.  A level costs a frame."""
     if t in table:
         return table[t]
     kind = type(t)
     if kind is Par or kind is LeftMerge or kind is CommMerge:
         x, y = t.lhs, t.rhs
         left = table.get(x) or _step(ctx, table, x)
-        out = [] if kind is CommMerge else [(a, y if k is None else Par(k, y)) for a, k in left]
+        out = {} if kind is CommMerge else {(a, y if k is None else Par(k, y)): None
+                                            for a, k in left}
         if kind is not LeftMerge:
             right = table.get(y) or _step(ctx, table, y)
             if kind is Par:
-                out += [(a, x if l is None else Par(x, l)) for a, l in right]
+                out |= {(a, x if l is None else Par(x, l)): None for a, l in right}
             for a, k in left:
                 for b, l in right:
                     name = ctx.comm.get((a.name, b.name))
                     if name is not None and a.args == b.args:
-                        out.append((ActionLiteral(name, a.args),
-                                    l if k is None else k if l is None else Par(k, l)))
+                        out[ActionLiteral(name, a.args),
+                            l if k is None else k if l is None else Par(k, l)] = None
     elif kind is Seq:
         left, y = table.get(t.lhs) or _step(ctx, table, t.lhs), t.rhs
-        out = [(a, y if k is None else Seq(k, y)) for a, k in left]
+        out = {(a, y if k is None else Seq(k, y)): None for a, k in left}
     elif kind is Alt:
         left = table.get(t.lhs) or _step(ctx, table, t.lhs)
-        out = left + (table.get(t.rhs) or _step(ctx, table, t.rhs))
+        out = left | (table.get(t.rhs) or _step(ctx, table, t.rhs))
     elif kind is DataAction:
-        m = ctx.meadow
-        out = [(ActionLiteral(t.name, tuple([eval_quantity(q, {}, m) for q in t.args])), None)]
+        args = tuple([eval_quantity(q, {}, ctx.meadow) for q in t.args])
+        out = {(ActionLiteral(t.name, args), None): None}
     elif kind is Action:
-        out = [(ActionLiteral(t.name), None)]
+        out = {(ActionLiteral(t.name), None): None}
     elif kind is Guard:
         enabled = eval_quantity(t.cond, {}, ctx.meadow).is_zero
-        out = (table.get(t.body) or _step(ctx, table, t.body)) if enabled else []
+        out = (table.get(t.body) or _step(ctx, table, t.body)) if enabled else {}
     elif kind is Encap:
         hide = t.hide
         body = table.get(t.body) or _step(ctx, table, t.body)
-        out = [(a, k if k is None else Encap(hide, k)) for a, k in body if a.name not in hide]
+        out = {(a, k if k is None else Encap(hide, k)): None for a, k in body if a.name not in hide}
     elif kind is Deadlock:
-        out = []
+        out = {}
     else:
         raise TypeError(f"not a closed process term: {t!r}")
     table[t] = out

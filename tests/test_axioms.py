@@ -213,8 +213,8 @@ class TestDualCheck:
         monkeypatch.setattr(
             lts,
             "_step",
-            lambda ctx, table, t: [(a, Deadlock() if k is None else k)
-                                   for a, k in real(ctx, table, t)],
+            lambda ctx, table, t: {(a, Deadlock() if k is None else k): None
+                                   for a, k in real(ctx, table, t)},
         )
         a = Action("a")
         with pytest.raises(OracleDisagreement):
@@ -240,8 +240,9 @@ class TestDualCheck:
         def step_without_communication(ctx, table, t):
             if type(t) is Par:
                 x, y = t.lhs, t.rhs
-                return ([(a, y if k is None else Par(k, y)) for a, k in real(ctx, table, x)]
-                        + [(a, x if l is None else Par(x, l)) for a, l in real(ctx, table, y)])
+                left, right = real(ctx, table, x), real(ctx, table, y)
+                return ({(a, y if k is None else Par(k, y)): None for a, k in left}
+                        | {(a, x if l is None else Par(x, l)): None for a, l in right})
             return real(ctx, table, t)
 
         monkeypatch.setattr(lts, "_step", step_without_communication)

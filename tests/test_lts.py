@@ -161,6 +161,19 @@ class TestBisimilarTerms:
             lts_module._classes([t], partial(lts_module._step, ctx, {}), cls, {})
             assert (len(cls) - 1, build_lts(t, ctx).num_states) == (oracle, numbered), src
 
+    def test_a_step_reached_twice_is_kept_once(self):
+        # P40 = P39 + P39 = ... = a: the definitions share P_i, so a step
+        # kept once per path to it would make 2^40 steps of P40
+        src = "act a, b;\nproc P0 = a;\n" + "".join(
+            f"proc P{i + 1} = P{i} + P{i};\n" for i in range(40))
+        ctx = speclang.parse_spec(src)
+        table = {}  # P12 first, so that a regression fails before it hangs
+        lts_module._step(ctx, table, lts_module.closed_ground_term(parse_term("P12", ctx), ctx))
+        assert max(len(steps) for steps in table.values()) == 1
+        assert bisimilar_terms(parse_term("P40", ctx), a, ctx)
+        assert bisimilar_terms(parse_term("P40 || P40", ctx), Par(a, a), ctx)
+        assert not bisimilar_terms(parse_term("P40 || P40", ctx), a, ctx)
+
     def test_agrees_with_bisimilar_on_merges_encapsulations_and_data(self, ctx):
         # seeded terms over every operator, data actions that synchronize
         # with equal and with unequal data among them; each pair also as

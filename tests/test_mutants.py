@@ -81,19 +81,23 @@ KILLED = [
     ("_merge", "a synchronization drops L",
      "Summand(action, l if k is None", "Summand(action, None if k is None"),
     ("_step", "Alt keeps only its left side",
-     "out = left + (table.get(t.rhs) or _step(ctx, table, t.rhs))", "out = left"),
+     "out = left | (table.get(t.rhs) or _step(ctx, table, t.rhs))", "out = left"),
     ("_step", "Seq drops its rhs",
      "else Seq(k, y)", "else k"),
     ("_step", "Par loses its right steps",
-     "out += [(a, x if l is None else Par(x, l)) for a, l in right]", "pass"),
+     "out |= {(a, x if l is None else Par(x, l)): None for a, l in right}", "pass"),
     ("_step", "communication ignores data",
      " and a.args == b.args", ""),
     ("_step", "communication drops k2",
      "else k if l is None else Par(k, l)", "else k"),
     ("_step", "encap loses its filter",
      " if a.name not in hide", ""),
+    ("_step", "encap does not re-wrap the residual",
+     "k if k is None else Encap(hide, k)", "k"),
     ("_step", "guard polarity",
-     "if enabled else []", "if not enabled else []"),
+     "if enabled else {}", "if not enabled else {}"),
+    ("_step", "the data of an action are dropped",
+     "tuple([eval_quantity(q, {}, ctx.meadow) for q in t.args])", "()"),
     ("_classes", "signature drops the action",
      "frozenset([(a, cls[q]) for a, q in edges])", "frozenset([cls[q] for a, q in edges])"),
 ]

@@ -396,7 +396,7 @@ class TestSequencesModuloAssociativity:
         t = parse_term("a . b . c . d", ctx)
         rest = Seq(Seq(Action("b"), Action("c")), Action("d"))
         assert build_lts(t, ctx).terms[1] is rest
-        assert lts_module._step(ctx, {}, t) == [(ActionLiteral("a"), rest)]
+        assert list(lts_module._step(ctx, {}, t)) == [(ActionLiteral("a"), rest)]
 
 
 class TestMergeRule:
