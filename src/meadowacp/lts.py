@@ -1,13 +1,13 @@
 """Operational semantics: labelled transition systems and strong bisimilarity.
 
-The LTS of a closed ground term is built by repeatedly taking head normal
-forms; successful termination is a transition into a distinguished
+Terms are stepped by the SOS rules of ACP with data (Plotkin 1981), in
+`_step`; successful termination is a transition into a distinguished
 absorbing Done state.  Every step makes the term strictly smaller, so the
 LTS is acyclic; bisimilarity is decided in one pass over it (Dovier,
 Piazza & Policriti 2004), which raises ValueError on a cycle.  The
 oracle's verdict on two terms takes the same pass over the terms reachable
-from either, stepped by its own SOS rules (`_step`), not by head normal
-forms; it builds no LTS and compares no normal forms.
+from either, stepped by the same rules; it builds no LTS.  Nothing here
+shares a function with the normal forms of `normalize`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from collections import namedtuple
 from functools import partial
 
 from .meadow import eval_quantity
-from .normalize import Engine, _hnf
 from .speclang import pretty_prefix
 from .terms import (Action, ActionLiteral, Alt, CommMerge, DataAction, Deadlock, Encap, Guard,
                     LeftMerge, Par, ProcessTerm, Seq, SpecContext, closed_ground_term)
@@ -32,22 +31,18 @@ class LTS(namedtuple("LTS", "num_states initial transitions done terms", default
 
 
 def build_lts(t: ProcessTerm, ctx: SpecContext) -> LTS:
-    """Explore all terms reachable from t by head-normal-form steps."""
+    """Explore all terms reachable from t by the steps of `_step`."""
     t = closed_ground_term(t, ctx)
-
-    # an engine of its own: the oracle shares no cached result with the
-    # normal forms it checks
-    engine = Engine(ctx)
     # Done is the residual None, numbered when it is first reached; the
     # index's keys, in insertion order, are the terms of the states
     index: dict[ProcessTerm | None, int] = {t: 0}
     transitions: set[tuple[int, ActionLiteral, int]] = set()
-    table = engine.hnf_cache
+    table: dict = {}
     work = [t]
     while work:
         term = work.pop()
         src = index[term]
-        for action, residual in table.get(term) or _hnf(engine, term):
+        for action, residual in _step(ctx, table, term):
             dst = index.get(residual)
             if dst is None:
                 dst = index[residual] = len(index)
@@ -105,9 +100,12 @@ def bisimilar(l1: LTS, l2: LTS) -> bool:
 def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> dict:
     """The (action, residual) pairs of t, Done the residual None, by the SOS
     rules of ACP with data (Plotkin 1981), as the keys of a dict kept in
-    ``table``: a step reached twice, as in x + x, is kept once.  A right step
-    of a merge keeps the order, x || y'; two steps synchronize when gamma is
-    defined on their names and their data are equal.  A level costs a frame."""
+    ``table``: a step reached twice, as in x + x, is kept once, and the
+    steps keep the order the rules make them in, not an order of hashes, so
+    that `build_lts` numbers its states alike under every PYTHONHASHSEED.
+    A right step of a merge keeps the order, x || y'; two steps synchronize
+    when gamma is defined on their names and their data are equal.  A level
+    costs a frame."""
     if t in table:
         return table[t]
     kind = type(t)

@@ -8,7 +8,7 @@ what :func:`equal_terms` decides.
 
 A merge's basic term is the merge of its operands' basic terms (`_merge`);
 other operators, and a merge under ``.``, encap or ``|``, are stepped through
-their head normal forms (`_hnf`), as `lts.build_lts` is; the oracle has its own.
+their head normal forms (`_hnf`).  The LTS and the oracle have rules of their own.
 """
 
 from __future__ import annotations

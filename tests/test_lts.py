@@ -1,5 +1,6 @@
 """Tests for LTS construction and the bisimulation oracle."""
 
+import importlib
 import random
 import time
 from functools import partial
@@ -21,15 +22,37 @@ from meadowacp import (
     bisimilar,
     build_lts,
     default_context,
+    equal_terms,
     parse_term,
     to_dot,
 )
 from meadowacp import lts as lts_module
 from meadowacp import speclang
 from meadowacp.lts import bisimilar_terms
+from test_normalize import differential_terms
 
 
 a, b, c = Action("a"), Action("b"), Action("c")
+normalize_module = importlib.import_module("meadowacp.normalize")
+
+
+def operator_terms(ctx, seed: int):
+    """A seeded maker of terms over every operator, encap among them, with
+    data actions that synchronize with equal and with unequal data."""
+    rng = random.Random(seed)
+    gen = TermGen(ctx, rng, max_depth=2)
+    data = [parse_term(src, ctx) for src in ("a(1)", "b(1)", "b(2)", "a(1 + 1) . c", "b(2) . a")]
+    hides = [frozenset(), frozenset({"a"}), frozenset({"b", "c"})]
+
+    def term(depth):
+        if depth == 0:
+            return rng.choice(data) if rng.random() < 0.4 else gen.term()
+        op = rng.randrange(6)
+        if op == 5:
+            return Encap(rng.choice(hides), term(depth - 1))
+        return (Alt, Seq, Par, LeftMerge, CommMerge)[op](term(depth - 1), term(depth - 1))
+
+    return term
 
 
 class TestBuildLts:
@@ -69,6 +92,27 @@ class TestBuildLts:
         assert lts.num_states == 4  # abc, bc, c, done
         assert len(lts.transitions) == 3
 
+    def test_states_and_transitions_are_the_steps_of_step(self, ctx):
+        # the states are the terms that _step reaches from t, and Done if
+        # a step reaches it; a state's transitions are its _step pairs
+        gen, term = TermGen(ctx, random.Random(27), max_depth=4), operator_terms(ctx, 27)
+        terms = [gen.term() for _ in range(300)] + [term(2) for _ in range(300)]
+        table = {}
+        for t in terms + differential_terms(ctx):
+            lts = build_lts(t, ctx)
+            reachable, work = {t}, [t]
+            while work:
+                for _, k in lts_module._step(ctx, table, work.pop()):
+                    if k is not None and k not in reachable:
+                        reachable.add(k)
+                        work.append(k)
+            assert lts.terms[0] == t and len(set(lts.terms)) == lts.num_states
+            assert set(lts.terms) - {None} == reachable
+            assert (lts.done is None) == (None not in lts.terms)
+            number = {s: i for i, s in enumerate(lts.terms)}
+            assert lts.transitions == {(number[s], a, number[k]) for s in reachable
+                                       for a, k in lts_module._step(ctx, table, s)}, t
+
 
 class TestBisimilar:
     def test_idempotence(self, ctx):
@@ -87,6 +131,25 @@ class TestBisimilar:
         lhs = build_lts(Par(a, b), ctx)
         rhs = build_lts(Alt(Alt(Seq(a, b), Seq(b, a)), c), ctx)
         assert bisimilar(lhs, rhs)
+
+    def test_shares_no_rule_with_the_normal_forms(self, ctx, monkeypatch):
+        # criterion 7 plays equal_terms against bisimilar(build_lts ...):
+        # with the normal forms' step and merge rules refused, the oracle
+        # still decides pairs with data communications and encap, as the
+        # normal forms do
+        term = operator_terms(ctx, 27)
+        pairs = [(term(2), term(2)) for _ in range(300)]
+        pairs += [(CommMerge(x, y), CommMerge(y, x)) for x, y in pairs[:100]]
+        by_nf = [equal_terms(x, y, ctx) for x, y in pairs]
+        assert 0 < sum(by_nf) < len(pairs)
+
+        def refuse(*args):
+            raise AssertionError("a rule of the normal forms was called")
+
+        for name in ("_hnf", "_merge", "_sync"):
+            monkeypatch.setattr(normalize_module, name, refuse)
+        by_lts = [bisimilar(build_lts(x, ctx), build_lts(y, ctx)) for x, y in pairs]
+        assert by_lts == by_nf
 
     def test_equivalence_relation_on_random_terms(self, ctx):
         rng = random.Random(11)
@@ -151,11 +214,11 @@ class TestBisimilarTerms:
 
     def test_a_right_step_of_a_merge_keeps_the_operand_order(self, ctx):
         # on (a . b . c) || (b . c . a) the oracle classes the 16 pairs of
-        # the operands' states, 15 besides Done; build_lts, stepping the
-        # merge by its hnf, also meets states with the operands swapped and
-        # numbers 20, Done among them
-        for src, oracle, numbered in (("(a . b . c) || (b . c . a)", 15, 20),
-                                      ("(a . a . a) || (b . b . b) || (c . c . c)", 63, 116)):
+        # the operands' states, 15 besides Done; build_lts, stepping by the
+        # same rules, numbers those 15 and Done, and meets no state with the
+        # operands swapped
+        for src, oracle, numbered in (("(a . b . c) || (b . c . a)", 15, 16),
+                                      ("(a . a . a) || (b . b . b) || (c . c . c)", 63, 64)):
             t = parse_term(src, ctx)
             cls = {None: -1}
             lts_module._classes([t], partial(lts_module._step, ctx, {}), cls, {})
@@ -175,23 +238,9 @@ class TestBisimilarTerms:
         assert not bisimilar_terms(parse_term("P40 || P40", ctx), a, ctx)
 
     def test_agrees_with_bisimilar_on_merges_encapsulations_and_data(self, ctx):
-        # seeded terms over every operator, data actions that synchronize
-        # with equal and with unequal data among them; each pair also as
-        # x | y against y | x, whose residuals the rules build in two orders
-        rng = random.Random(26)
-        gen = TermGen(ctx, rng, max_depth=2)
-        data = [parse_term(src, ctx) for src in ("a(1)", "b(1)", "b(2)", "a(1 + 1) . c",
-                                                  "b(2) . a")]
-        hides = [frozenset(), frozenset({"a"}), frozenset({"b", "c"})]
-
-        def term(depth):
-            if depth == 0:
-                return rng.choice(data) if rng.random() < 0.4 else gen.term()
-            op = rng.randrange(6)
-            if op == 5:
-                return Encap(rng.choice(hides), term(depth - 1))
-            return (Alt, Seq, Par, LeftMerge, CommMerge)[op](term(depth - 1), term(depth - 1))
-
+        # each pair also as x | y against y | x, whose residuals the rules
+        # build in two orders
+        term = operator_terms(ctx, 26)
         bisimilar_pairs = 0
         for _ in range(1000):
             x, y = term(2), term(2)
