@@ -7,8 +7,8 @@ in the equational theory exactly when their basic terms coincide, which is
 what :func:`equal_terms` decides.
 
 A merge's basic term is the merge of its operands' basic terms (`_merge`);
-other operators, and a merge under ``.``, encap or ``|``, are stepped through
-their head normal forms (`_hnf`).  The LTS and the oracle have rules of their own.
+every other operator, and a merge under any of them, is stepped through its
+head normal form (`_hnf`).  The LTS and the oracle have rules of their own.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from collections import namedtuple
 from functools import cmp_to_key
 
 from .meadow import MeadowValue, QAdd, QNeg, eval_quantity, interned
-from .speclang import pretty_prefix
 from .terms import (
     Action,
     ActionLiteral,
@@ -130,71 +129,43 @@ def _render(root: BasicTerm) -> str:
 
 # A head summand is (ActionLiteral, residual process term or None for
 # successful termination).  An hnf keeps its head summands as the keys of
-# an insertion-ordered dict, not a set, so the order in which they are met
-# follows the term and not the string hash of this process.
+# an insertion-ordered dict, not a set, so that their order follows the term
+# and not the string hash of this process: it fixes the order in which
+# `Engine._normalize` explores the residuals, and which guard-chain mismatch
+# is reported first.
 HeadSummand = tuple[ActionLiteral, ProcessTerm | None]
 Hnf = dict[HeadSummand, None]
 
 
 def guard_chain(
-    name: str,
-    us: tuple[MeadowValue, ...],
-    vs: tuple[MeadowValue, ...],
-    residual: ProcessTerm | None = None,
+    name: str, us: tuple[MeadowValue, ...], vs: tuple[MeadowValue, ...]
 ) -> ProcessTerm:
     """The guard chain (u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))
-    that axiom t3.12 gives for e(u1..un) | e'(v1..vn) when e | e' = e'';
-    with a residual r the innermost body is e''(u1..un) . r."""
+    that axiom t3.12 gives for e(u1..un) | e'(v1..vn) when e | e' = e''."""
     term = data_action(name, us)
-    if residual is not None:
-        term = Seq(term, residual)
     for u, v in reversed(list(zip(us, vs, strict=True))):
         term = Guard(QAdd(u.literal(), QNeg(v.literal())), term)
     return term
 
 
-def _left_merge(head: Hnf, rhs: ProcessTerm) -> Hnf:
-    """The hnf of x |_ rhs, given the hnf of x."""
-    return {(a, rhs if k is None else Par(k, rhs)): None for a, k in head}
-
-
-def _sync(engine: "Engine", a1: ActionLiteral, a2: ActionLiteral, k1=None, k2=None):
+def _sync(engine: "Engine", a1: ActionLiteral, a2: ActionLiteral):
     """The action a1 | a2, or None, for the normal-form route: gamma must be
     defined on the names and the data equal (t3.12).  Under --debug-guard-chain
-    it is checked against the guard chain, followed by the residual of k1 and k2."""
+    it is checked against the actions of the bare guard chain's hnf: that hnf
+    would carry a residual r through unchanged, as e''(u1..un) . r."""
     name = engine.ctx.comm.get((a1.name, a2.name))
     if name is None or len(a1.args) != len(a2.args):
         return None
     action = ActionLiteral(name, a1.args) if a1.args == a2.args else None
     if engine.debug_guard_chain and a1.args:
-        residual = k2 if k1 is None else k1 if k2 is None else Par(k1, k2)
-        direct: Hnf = {} if action is None else {(action, residual): None}
+        direct = [] if action is None else [action]
         # the chain holds no communication merge, so the cross-check cannot recurse
-        chain = _hnf(engine, guard_chain(name, a1.args, a2.args, residual))
+        chain = [a for a, _ in _hnf(engine, guard_chain(name, a1.args, a2.args))]
         if chain != direct:
-            raise GuardChainMismatch(f"{a1} | {a2}: direct route {_show(direct)} vs "
-                                     f"guard chain {_show(chain)}")
+            direct, chain = (", ".join(map(str, heads)) for heads in (direct, chain))
+            raise GuardChainMismatch(f"{a1} | {a2}: direct route {{{direct}}} vs "
+                                     f"guard chain {{{chain}}}")
     return action
-
-
-def _comm_merge(engine: "Engine", left: Hnf, right: Hnf) -> Hnf:
-    """The hnf of x | y, given the hnfs of x and y: one head summand for
-    each pair that synchronizes; every other pair is dropped."""
-    acc: Hnf = {}
-    for a1, k1 in left:
-        for a2, k2 in right:
-            action = _sync(engine, a1, a2, k1, k2)
-            if action is not None:
-                acc[(action, k2 if k1 is None else k1 if k2 is None else Par(k1, k2))] = None
-    return acc
-
-
-def _show(head: Hnf) -> str:
-    """The head summands of an hnf for a message, each residual cut to 60
-    characters, so that the text stays short however deep the residual."""
-    memo: dict = {}
-    shown = (str(a) if k is None else f"{a} . {pretty_prefix(k, 60, memo)}" for a, k in head)
-    return "{" + ", ".join(sorted(shown)) + "}"
 
 
 def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
@@ -211,15 +182,22 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
         return hit
 
     kind = type(t)
-    if kind is Par:
-        # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand
+    if kind is Par or kind is LeftMerge or kind is CommMerge:
+        # x || y = x |_ y + y |_ x + x | y, from one hnf of each operand; x |_ y
+        # never steps y
         x, y = t.lhs, t.rhs
         left = cache.get(x) or _hnf(engine, x)
-        right = cache.get(y) or _hnf(engine, y)
-        out = _left_merge(left, y)
-        out |= _left_merge(right, x)
-        if left and right:
-            out |= _comm_merge(engine, left, right)
+        out = {} if kind is CommMerge else {(a, y if k is None else Par(k, y)): None
+                                            for a, k in left}
+        if kind is not LeftMerge:
+            right = cache.get(y) or _hnf(engine, y)
+            if kind is Par:
+                out |= {(a, x if l is None else Par(l, x)): None for a, l in right}
+            for a, k in left:
+                for b, l in right:
+                    action = _sync(engine, a, b)
+                    if action is not None:
+                        out[action, l if k is None else k if l is None else Par(k, l)] = None
     elif kind is Seq:
         rhs = t.rhs
         head = cache.get(t.lhs) or _hnf(engine, t.lhs)
@@ -238,17 +216,11 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
         out = (cache.get(t.body) or _hnf(engine, t.body)) if cond.is_zero else {}
     elif kind is Deadlock:
         out = {}
-    elif kind is CommMerge:
-        left = cache.get(t.lhs) or _hnf(engine, t.lhs)
-        right = cache.get(t.rhs) or _hnf(engine, t.rhs)
-        out = _comm_merge(engine, left, right) if left and right else {}
     elif kind is Encap:
         hide = t.hide
         body = cache.get(t.body) or _hnf(engine, t.body)
         out = {(a, k if k is None else Encap(hide, k)): None
                for a, k in body if a.name not in hide}
-    elif kind is LeftMerge:
-        out = _left_merge(cache.get(t.lhs) or _hnf(engine, t.lhs), t.rhs)
     elif kind is ProcVar:
         raise OpenTerm(f"free process variable: {t.name}")
     else:

@@ -48,10 +48,9 @@ class TestNormalize:
         term = "(a(1) . " + " . ".join(["b"] * n) + ") | b(2)"
         rc = main(["normalize", "--spec", sample_spec_path, "--debug-guard-chain", term])
         assert rc == 2
-        residual = " . ".join(["b"] * 30)[:60]
+        # the message names the two actions, however long the residual
         assert capsys.readouterr().err == (
-            "internal disagreement: a(1) | b(2): direct route {} vs "
-            f"guard chain {{c(1) . {residual}}}\n"
+            "internal disagreement: a(1) | b(2): direct route {} vs guard chain {c(1)}\n"
         )
 
     @pytest.mark.parametrize("op", ["|", "||"])
