@@ -105,7 +105,8 @@ def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> dict:
     that `build_lts` numbers its states alike under every PYTHONHASHSEED.
     A right step of a merge keeps the order, x || y'; two steps synchronize
     when gamma is defined on their names and their data are equal.  A level
-    costs a frame."""
+    costs a frame.  An atom's ground action is kept on the atom node, as
+    (meadow, literal) under ``_lts_lit``, a name `normalize` does not read."""
     if t in table:
         return table[t]
     kind = type(t)
@@ -130,11 +131,14 @@ def _step(ctx: SpecContext, table: dict, t: ProcessTerm) -> dict:
     elif kind is Alt:
         left = table.get(t.lhs) or _step(ctx, table, t.lhs)
         out = left | (table.get(t.rhs) or _step(ctx, table, t.rhs))
-    elif kind is DataAction:
-        args = tuple([eval_quantity(q, {}, ctx.meadow) for q in t.args])
-        out = {(ActionLiteral(t.name, args), None): None}
-    elif kind is Action:
-        out = {(ActionLiteral(t.name), None): None}
+    elif kind is DataAction or kind is Action:
+        m, lit = t.__dict__.get("_lts_lit") or (None, None)
+        if m is not ctx.meadow:
+            m = ctx.meadow
+            args = tuple([eval_quantity(q, {}, m) for q in t.args]) if kind is DataAction else ()
+            lit = ActionLiteral(t.name, args)
+            object.__setattr__(t, "_lts_lit", (m, lit))
+        out = {(lit, None): None}
     elif kind is Guard:
         enabled = eval_quantity(t.cond, {}, ctx.meadow).is_zero
         out = (table.get(t.body) or _step(ctx, table, t.body)) if enabled else {}

@@ -175,7 +175,8 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
     never recurses from inside a comprehension (a frame of its own before
     Python 3.12), so each level of nesting costs one frame.  Dispatch is on
     the exact class, most frequent first: node classes are never
-    subclassed."""
+    subclassed.  An atom's ground action is kept on the atom node, as
+    (meadow, literal) under ``_nf_lit``, a name the oracle does not read."""
     cache = engine.hnf_cache
     hit = cache.get(t)
     if hit is not None:
@@ -205,12 +206,14 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
     elif kind is Alt:
         left = cache.get(t.lhs) or _hnf(engine, t.lhs)
         out = left | (cache.get(t.rhs) or _hnf(engine, t.rhs))
-    elif kind is DataAction:
-        m = engine.ctx.meadow
-        vals = tuple([eval_quantity(q, {}, m) for q in t.args])
-        out = {(ActionLiteral(t.name, vals), None): None}
-    elif kind is Action:
-        out = {(ActionLiteral(t.name), None): None}
+    elif kind is DataAction or kind is Action:
+        m, lit = t.__dict__.get("_nf_lit") or (None, None)
+        if m is not engine.ctx.meadow:
+            m = engine.ctx.meadow
+            vals = tuple([eval_quantity(q, {}, m) for q in t.args]) if kind is DataAction else ()
+            lit = ActionLiteral(t.name, vals)
+            object.__setattr__(t, "_nf_lit", (m, lit))
+        out = {(lit, None): None}
     elif kind is Guard:
         cond = eval_quantity(t.cond, {}, engine.ctx.meadow)
         out = (cache.get(t.body) or _hnf(engine, t.body)) if cond.is_zero else {}

@@ -1,8 +1,11 @@
 """Tests for LTS construction and the bisimulation oracle."""
 
+import gc
 import importlib
 import random
 import time
+import weakref
+from collections import Counter
 from functools import partial
 
 import pytest
@@ -13,9 +16,12 @@ from meadowacp import (
     ActionLiteral,
     Alt,
     CommMerge,
+    DataAction,
     Deadlock,
     Encap,
     LeftMerge,
+    MeadowKind,
+    OracleDisagreement,
     Par,
     Seq,
     TermGen,
@@ -28,6 +34,7 @@ from meadowacp import (
 )
 from meadowacp import lts as lts_module
 from meadowacp import speclang
+from meadowacp.axioms import _check_eq_instance
 from meadowacp.lts import bisimilar_terms
 from test_normalize import differential_terms
 
@@ -365,3 +372,63 @@ class TestDot:
             calls.clear()
             to_dot(lts)
             assert len(calls) == 3 * n
+
+
+class TestAtomMemos:
+    """Each route keeps an atom's ground action on the atom node, as
+    (meadow, ActionLiteral): `_hnf` in ``_nf_lit``, `_step` in ``_lts_lit``."""
+
+    @pytest.mark.parametrize("memo", ["_nf_lit", "_lts_lit"])
+    def test_a_wrong_memo_of_one_route_is_a_disagreement(self, ctx, monkeypatch, memo):
+        # the other route derives the action itself, so the routes disagree
+        one, two = parse_term("a(1)", ctx), parse_term("a(2)", ctx)
+        wrong = ActionLiteral("a", (ctx.meadow.from_int(2),))
+        monkeypatch.setitem(vars(one), memo, (ctx.meadow, wrong))
+        with pytest.raises(OracleDisagreement):
+            _check_eq_instance(one, two, ctx)
+
+    def test_the_memo_is_keyed_by_the_meadow(self, ctx):
+        f5 = default_context(MeadowKind.prime_field(5))
+        t = parse_term("a(4)", ctx)
+        for context, text in ((ctx, "a(1)"), (f5, "a(4)"), (ctx, "a(1)")):
+            assert str(normalize_module.normalize(t, context)) == text
+            assert [str(a) for _, a, _ in build_lts(t, context).transitions] == [text]
+
+    def test_the_memo_keeps_no_node_alive(self, ctx):
+        t = parse_term("b(1 + 1 + 1 + 1)", ctx)
+        normalize_module.normalize(t, ctx)
+        build_lts(t, ctx)
+        assert {"_nf_lit", "_lts_lit"} <= set(vars(t))
+        ref = weakref.ref(t)
+        del t
+        gc.collect()
+        assert ref() is None
+
+    def test_each_route_evaluates_an_atoms_arguments_once(self, ctx, monkeypatch):
+        # 100 queries over the 9 data atoms of F3; without the memo each
+        # query evaluates the arguments of every atom it holds
+        atoms = [DataAction(n, (ctx.meadow.from_int(v).literal(),)) for n in "abc" for v in range(3)]
+        for atom in atoms:  # forget what earlier tests derived
+            vars(atom).pop("_nf_lit", None)
+            vars(atom).pop("_lts_lit", None)
+        calls = {normalize_module: [], lts_module: []}
+
+        def counting(evaluate, seen, q, env, m):
+            seen.append(q)
+            return evaluate(q, env, m)
+
+        for module, seen in calls.items():
+            monkeypatch.setattr(module, "eval_quantity",
+                                partial(counting, module.eval_quantity, seen))
+        rng = random.Random(0)
+
+        def term(depth):
+            if not depth:
+                return rng.choice(atoms)
+            return rng.choice((Alt, Seq, Par))(term(depth - 1), term(depth - 1))
+
+        for _ in range(100):
+            t1, t2 = term(3), term(3)
+            assert equal_terms(t1, t2, ctx) == bisimilar_terms(t1, t2, ctx)
+        expected = Counter(atom.args[0] for atom in atoms)
+        assert Counter(calls[normalize_module]) == Counter(calls[lts_module]) == expected

@@ -17,12 +17,20 @@ a failed cancellation or general-inverse property counts too, or by a
 direct check of a computed quantity. Two more `_columns` mutants must each
 fail one of those two properties on F5 exhaustive.
 
-The two routes share no rule. The normal-form route (`Engine._normalize`)
-gives a merge `x || y` the `_merge` of its operands' normal forms, steps a
-left-nested sequence as its right-nested rotation (A5), and steps the rest
-with `_hnf`; both synchronize by `_sync`. The oracle steps every term by
-its own SOS rules, `lts._step`, and classes the states with `_classes`. So
-a mutant of either route must be killed by an `OracleDisagreement`.
+Each route keeps the ground action of an atom on the atom node, in a memo
+of its own (`_nf_lit` for `_hnf`, `_lts_lit` for `_step`). Live nodes, the
+atoms of `INEQUIVALENT` among them, outlast a test, so `mutate` deletes
+both memos from every live node when it binds a mutant and again when
+`monkeypatch` undoes it: a memo filled before the binding would hide the
+mutant, and one the mutant filled would leak into later tests.
+
+The two routes share no rule or memo. The normal-form route
+(`Engine._normalize`) gives a merge `x || y` the `_merge` of its operands'
+normal forms, steps a left-nested sequence as its right-nested rotation
+(A5), and steps the rest with `_hnf`; both synchronize by `_sync`. The
+oracle steps every term by its own SOS rules, `lts._step`, and classes the
+states with `_classes`. So a mutant of either route must be killed by an
+`OracleDisagreement`.
 """
 
 import importlib
@@ -68,7 +76,8 @@ KILLED = [
     ("_hnf", "a guard is enabled when its condition is nonzero",
      "if cond.is_zero else", "if not cond.is_zero else"),
     ("_hnf", "data action arguments are dropped",
-     "tuple([eval_quantity(q, {}, m) for q in t.args])", "()"),
+     "vals = tuple([eval_quantity(q, {}, m) for q in t.args]) if kind is DataAction else ()",
+     "vals = ()"),
     ("_sync", "communication ignores data equality",
      " if a1.args == a2.args else None", ""),
     ("_merge", "X || Y drops its synchronizations",
@@ -106,7 +115,8 @@ KILLED = [
     ("_step", "guard polarity",
      "if enabled else {}", "if not enabled else {}"),
     ("_step", "the data of an action are dropped",
-     "tuple([eval_quantity(q, {}, ctx.meadow) for q in t.args])", "()"),
+     "args = tuple([eval_quantity(q, {}, m) for q in t.args]) if kind is DataAction else ()",
+     "args = ()"),
     ("_classes", "signature drops the action",
      "frozenset([(a, cls[q]) for a, q in edges])", "frozenset([cls[q] for a, q in edges])"),
 ]
@@ -128,7 +138,8 @@ ARITY = ("_sync", "communication ignores arity",
 # Every data argument that the suites sample is a literal, so only a direct
 # check on a computed argument kills this one.
 UNEVALUATED = ("_hnf", "data action arguments stay unevaluated",
-               "tuple([eval_quantity(q, {}, m) for q in t.args])", "t.args")
+               "vals = tuple([eval_quantity(q, {}, m) for q in t.args]) if",
+               "vals = tuple(t.args) if")
 
 # A semantically neutral edit: the harness must report it as a survivor.
 NOOP = ("_hnf", "no change", "elif kind is Alt:", "elif kind is Alt:  # no-op")
@@ -160,10 +171,33 @@ MEADOW_PROPERTIES = [
 ]
 
 
+# the memo of each route, kept on an atom node: (meadow, ground action)
+MEMOS = ("_nf_lit", "_lts_lit")
+
+
+def forget_memos() -> None:
+    """Delete both routes' memos from every live node."""
+    for ref in list(meadow._NODES.values()):
+        for memo in MEMOS:
+            getattr(ref(), "__dict__", {}).pop(memo, None)
+
+
+class _Forgetting:
+    """Setting its ``memos`` forgets both routes' memos, so a `monkeypatch`
+    of it forgets them when it binds and again when it undoes."""
+
+    memos = property(lambda self: None, lambda self, _: forget_memos())
+
+
+FORGETTING = _Forgetting()
+
+
 def mutate(monkeypatch, name: str, old: str, new: str, module=None) -> None:
     """Bind a copy of module.<name> with old replaced by new; the module is
     `normalize` when it has the function, else `lts`.  A method of `Engine`
-    is set on `Engine`."""
+    is set on `Engine`.  Both routes' memos are forgotten when the copy is
+    bound and again after `monkeypatch` has undone the binding."""
+    monkeypatch.setattr(FORGETTING, "memos", None)
     method = module is None and hasattr(normalize.Engine, name)
     module = module or (normalize if method or hasattr(normalize, name) else lts)
     fn = getattr(normalize.Engine if method else module, name)
@@ -312,3 +346,15 @@ def test_the_unevaluated_arguments_mutant_is_killed_by_a_computed_argument(monke
     name, _, old, new = UNEVALUATED
     mutate(monkeypatch, name, old, new)
     assert not data_arguments_are_evaluated()
+
+
+def test_a_memo_neither_hides_a_mutant_nor_outlives_it(monkeypatch):
+    ctx = default_context()
+    t = parse_term("a(2) || b(2)", ctx)
+    before = normalize.normalize(t, ctx)  # fills the memos of t's live atoms
+    assert str(before) == "a(2) . b(2) + b(2) . a(2) + c(2)"
+    name, _, old, new = next(m for m in KILLED if m[1] == "data action arguments are dropped")
+    mutate(monkeypatch, name, old, new)
+    assert str(normalize.normalize(t, ctx)) == "a . b + b . a + c"
+    monkeypatch.undo()
+    assert normalize.normalize(t, ctx) is before
