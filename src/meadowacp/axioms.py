@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import accumulate
 
 from .lts import bisimilar_terms
 from .meadow import (
@@ -45,7 +46,6 @@ from .terms import (
     ProcVar,
     Seq,
     SpecContext,
-    _map_children,
     data_action,
     validate_comm_spec,
 )
@@ -68,27 +68,28 @@ def default_context(meadow: MeadowKind | None = None) -> SpecContext:
 # ---------------------------------------------------------------------------
 # Random closed term generation
 
-_OP_WEIGHTS = (("alt", 0.30), ("seq", 0.25), ("par", 0.15), ("guard", 0.10), ("atom", 0.20))
+# A draw below _ALT makes an alt, else below _SEQ a seq, ..., and from _GUARD
+# on an atom: the weights 0.30, 0.25, 0.15, 0.10 and 0.20, summed once.
+_ALT, _SEQ, _PAR, _GUARD = accumulate((0.30, 0.25, 0.15, 0.10))
 
 
 class TermGen:
     """Random closed, ground process terms: shallow and wide, biased away
-    from deadlock so the merge laws get exercised."""
+    from deadlock so the merge laws get exercised; one stream of draws per
+    seed.  In a finite meadow it keeps each atom and literal node it draws,
+    so a redraw is a read; in Q0, whose draws rarely repeat, the 0-ary atoms."""
 
     def __init__(self, ctx: SpecContext, rng: random.Random, max_depth: int = 4):
         self.ctx = ctx
         self.rng = rng
         self.max_depth = max_depth
         self.names = sorted(ctx.alphabet)
-        self.lit_pool = self._lit_pool()
-
-    def _lit_pool(self) -> list[ActionLiteral]:
-        m = self.ctx.meadow
-        # the largest residue of a finite carrier, else 1
+        m = ctx.meadow
+        # the data literals' argument: the largest residue of a finite carrier, else 1
         data_arg = MeadowValue(m, m.modulus - 1) if m.is_finite else m.from_int(1)
-        pool = [ActionLiteral(n) for n in self.names]
-        pool += [ActionLiteral(n, (data_arg,)) for n in self.names]
-        return pool
+        self.lit_pool = [ActionLiteral(n, args) for args in ((), (data_arg,)) for n in self.names]
+        self.delta, self.actions = Deadlock(), [Action(n) for n in self.names]
+        self.literals, self.data_atoms = ({}, set()) if m.is_finite else (None, None)
 
     def quantity_value(self) -> MeadowValue:
         """A carrier element drawn uniformly, or a random rational in Q0."""
@@ -98,36 +99,36 @@ class TermGen:
         return random_rational(self.rng)
 
     def quantity(self) -> QuantityTerm:
-        return self.quantity_value().literal()
-
-    def atom(self) -> ProcessTerm:
-        r = self.rng.random()
-        if r < 0.15:
-            return Deadlock()
-        name = self.rng.choice(self.names)
-        if r < 0.60:
-            return Action(name)
-        return DataAction(name, (self.quantity(),))
+        """The literal of a quantity_value() draw."""
+        if self.literals is None:
+            return random_rational(self.rng).literal()
+        r = self.rng.randrange(self.ctx.meadow.modulus)
+        if (lit := self.literals.get(r)) is None:
+            lit = self.literals[r] = MeadowValue(self.ctx.meadow, r).literal()
+        return lit
 
     def term(self, depth: int | None = None) -> ProcessTerm:
         depth = self.max_depth if depth is None else depth
-        if depth <= 0:
-            return self.atom()
-        r = self.rng.random()
-        acc = 0.0
-        for op, w in _OP_WEIGHTS:
-            acc += w
-            if r < acc:
-                break
-        if op == "alt":
-            return Alt(self.term(depth - 1), self.term(depth - 1))
-        if op == "seq":
-            return Seq(self.term(depth - 1), self.term(depth - 1))
-        if op == "par":
-            return Par(self.term(depth - 1), self.term(depth - 1))
-        if op == "guard":
-            return Guard(self.quantity(), self.term(depth - 1))
-        return self.atom()
+        if depth > 0:
+            r = self.rng.random()
+            if r < _ALT:
+                return Alt(self.term(depth - 1), self.term(depth - 1))
+            if r < _SEQ:
+                return Seq(self.term(depth - 1), self.term(depth - 1))
+            if r < _PAR:
+                return Par(self.term(depth - 1), self.term(depth - 1))
+            if r < _GUARD:
+                return Guard(self.quantity(), self.term(depth - 1))
+        r = self.rng.random()  # an atom
+        if r < 0.15:
+            return self.delta
+        action = self.rng.choice(self.actions)
+        if r < 0.60:
+            return action
+        atom = DataAction(action.name, (self.quantity(),))
+        if self.data_atoms is not None:
+            self.data_atoms.add(atom)
+        return atom
 
 
 # ---------------------------------------------------------------------------
@@ -187,12 +188,10 @@ def _std_sample(specs: list[VarSpec], i: int, rng, gen: TermGen, ctx: SpecContex
             else:
                 s[nm] = random_rational(rng)
         elif kd == "const":
-            names = sorted(ctx.alphabet)
-            s[nm] = names[idx % len(names)]
-            idx //= len(names)
+            s[nm] = gen.names[idx % len(gen.names)]
+            idx //= len(gen.names)
         elif kd in ("h", "h+e", "h-e"):
-            names = sorted(ctx.alphabet)
-            h = {n for n in names if rng.random() < 0.5}
+            h = {n for n in gen.names if rng.random() < 0.5}
             if kd == "h+e":
                 h.add(s["e"])
             elif kd == "h-e":
@@ -215,12 +214,7 @@ def _sample_data_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
 
 
 def _sample_dead_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
-    pairs = sorted(
-        (a, b)
-        for a in ctx.alphabet
-        for b in ctx.alphabet
-        if (a, b) not in ctx.comm
-    )
+    pairs = [(a, b) for a in gen.names for b in gen.names if (a, b) not in ctx.comm]  # sorted
     if not pairs:
         return {}
     e, e2 = pairs[i % len(pairs)]
@@ -234,7 +228,7 @@ def _sample_dead_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
 
 
 def _sample_mixed_arity(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
-    names = sorted(ctx.alphabet)
+    names = gen.names
     e = names[i % len(names)]
     e2 = names[(i // len(names)) % len(names)]
     n = (i // (len(names) ** 2)) % 3  # 0-ary constant is a legal operand
@@ -255,25 +249,28 @@ _SCHEMA_CTX = SpecContext(frozenset({"a", "b", "e"}), definitions=dict.fromkeys(
 
 
 def _instantiate_q(q: QuantityTerm, s: dict) -> QuantityTerm:
-    if isinstance(q, QVar):
+    kind = type(q)
+    if kind is QVar:
         return s[q.name].literal()
-    if isinstance(q, (QAdd, QMul)):
-        return type(q)(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
-    if isinstance(q, (QNeg, QInv)):
-        return type(q)(_instantiate_q(q.arg, s))
+    if kind is QAdd or kind is QMul:
+        return kind(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
+    if kind is QNeg or kind is QInv:
+        return kind(_instantiate_q(q.arg, s))
     return q
 
 
 def _instantiate(t: ProcessTerm, s: dict) -> ProcessTerm:
-    if isinstance(t, ProcVar):
+    """A schema side (no DataAction) with s substituted, by exact class."""
+    kind = type(t)
+    if kind is ProcVar:
         return s[t.name]
-    if isinstance(t, Action):
+    if kind is Action:
         return Action(s["e"]) if t.name == "e" else s[t.name].term()
-    if isinstance(t, Guard):
+    if kind is Guard:
         return Guard(_instantiate_q(t.cond, s), _instantiate(t.body, s))
-    if isinstance(t, Encap):
+    if kind is Encap:
         return Encap(s["H"], _instantiate(t.body, s))
-    return _map_children(t, lambda c: _instantiate(c, s))
+    return t if kind is Deadlock else kind(_instantiate(t.lhs, s), _instantiate(t.rhs, s))
 
 
 def _eq(id: str, name: str, specs: list[VarSpec]) -> AxiomSchema:

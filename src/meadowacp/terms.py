@@ -202,14 +202,16 @@ class SpecContext:
 
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
-_PAIRS = (*_BINARY, QAdd, QMul)  # the nodes with an lhs and an rhs
+_PAIRS = frozenset((*_BINARY, QAdd, QMul))  # the nodes with an lhs and an rhs
 
 
 def free_vars(t: ProcessTerm) -> tuple[frozenset[str], frozenset[str]]:
     """t's free process and quantity variables, by one walk on an explicit
-    stack over its distinct nodes that skips marked ones.  When nothing is
-    free it marks each node it passed: being closed and ground does not
-    depend on the context, so the shared node keeps it (as in ATerm)."""
+    stack over its distinct nodes, by exact class, that skips marked ones.
+    When nothing is free it marks each node it passed: being closed and
+    ground does not depend on the context, so the shared node keeps it."""
+    if t._closed:  # a gated root: nothing to walk
+        return frozenset(), frozenset()
     procs, quants, passed = set(), set(), set()
     stack = [t]
     while stack:
@@ -217,19 +219,20 @@ def free_vars(t: ProcessTerm) -> tuple[frozenset[str], frozenset[str]]:
         if node._closed or node in passed:
             continue
         passed.add(node)
-        if isinstance(node, _PAIRS):
+        kind = type(node)
+        if kind in _PAIRS:
             stack += (node.rhs, node.lhs)
-        elif isinstance(node, Encap):
-            stack.append(node.body)
-        elif isinstance(node, Guard):
+        elif kind is Guard:
             stack += (node.body, node.cond)
-        elif isinstance(node, DataAction):
+        elif kind is DataAction:
             stack += node.args
-        elif isinstance(node, (QNeg, QInv)):
+        elif kind is Encap:
+            stack.append(node.body)
+        elif kind is QNeg or kind is QInv:
             stack.append(node.arg)
-        elif isinstance(node, ProcVar):
+        elif kind is ProcVar:
             procs.add(node.name)
-        elif isinstance(node, QVar):
+        elif kind is QVar:
             quants.add(node.name)
     if not (procs or quants):
         for node in passed:

@@ -14,14 +14,18 @@ from meadowacp import (
     DERIVED_AXIOM_IDS,
     ENRICHED_AXIOM_IDS,
     Action,
+    ActionLiteral,
     Alt,
+    DataAction,
     Deadlock,
     Encap,
     Guard,
     MeadowKind,
+    MeadowValue,
     OracleDisagreement,
     Par,
     ProcessTerm,
+    QuantityTerm,
     Seq,
     SpecContext,
     check_acp_axioms,
@@ -33,6 +37,7 @@ from meadowacp import (
     parse_term,
     pretty_quantity,
     pretty_term,
+    random_rational,
 )
 from meadowacp import axioms, lts, terms
 from meadowacp.axioms import (
@@ -169,20 +174,18 @@ class TestDualCheck:
     """Each route checks the other: a fault in one shows as a disagreement,
     a fault in a rule both share as a failing axiom (tests/test_mutants.py)."""
 
-    def test_each_term_passes_the_gate_once(self, ctx, monkeypatch):
-        # one list per walk of the gate, of the objects it tests by isinstance
+    def test_each_term_passes_the_gate_once(self, ctx, monkeypatch, probe_walks):
+        # one list per walk of the gate, of the ids of the nodes it dispatches on
         walks = []
         free_vars = terms.free_vars
         monkeypatch.setattr(terms, "free_vars", lambda t: walks.append([]) or free_vars(t))
-        monkeypatch.setattr(
-            terms, "isinstance",
-            lambda obj, cls: walks[-1].append(obj) or isinstance(obj, cls), raising=False,
-        )
+        probe_walks(lambda node: walks[-1].append(id(node)))
         a, b = Action("gate-once-a"), Action("gate-once-b")  # marked by no other test
-        assert _check_eq_instance(Par(a, b), Par(b, a), ctx)[0]
+        lhs, rhs = Par(a, b), Par(b, a)  # held, so that their ids stay theirs
+        assert _check_eq_instance(lhs, rhs, ctx)[0]
         walked = [set(w) for w in walks]
         # every node is walked, and by one walk only: the others find it marked
-        assert set().union(*walked) == {Par(a, b), Par(b, a), a, b}
+        assert set().union(*walked) == set(map(id, (lhs, rhs, a, b)))
         assert sum(map(len, walked)) == 4
 
     def test_a_wrong_normal_form_route_disagrees_with_the_oracle(self, ctx, monkeypatch):
@@ -322,3 +325,186 @@ class TestSchemasParsedFromNames:
         lhs, rhs = schema.instance({"u": u, "x": x, "y": y})
         assert lhs == Guard(u.literal(), Seq(x, y))
         assert rhs == Seq(Guard(u.literal(), x), y)
+
+
+# The generator and the samplers as they were before the generator kept its
+# atoms and literals, compared its draw with bounds summed at import and
+# folded `atom` into `term`, and before the samplers read the sorted names
+# from the generator. Kept verbatim, under new names, as the reference
+# whose random stream the current ones must follow draw for draw.
+_REF_OP_WEIGHTS = (("alt", 0.30), ("seq", 0.25), ("par", 0.15), ("guard", 0.10), ("atom", 0.20))
+
+
+class ReferenceTermGen:
+    """Random closed, ground process terms: shallow and wide, biased away
+    from deadlock so the merge laws get exercised."""
+
+    def __init__(self, ctx: SpecContext, rng: random.Random, max_depth: int = 4):
+        self.ctx = ctx
+        self.rng = rng
+        self.max_depth = max_depth
+        self.names = sorted(ctx.alphabet)
+        self.lit_pool = self._lit_pool()
+
+    def _lit_pool(self) -> list[ActionLiteral]:
+        m = self.ctx.meadow
+        # the largest residue of a finite carrier, else 1
+        data_arg = MeadowValue(m, m.modulus - 1) if m.is_finite else m.from_int(1)
+        pool = [ActionLiteral(n) for n in self.names]
+        pool += [ActionLiteral(n, (data_arg,)) for n in self.names]
+        return pool
+
+    def quantity_value(self) -> MeadowValue:
+        """A carrier element drawn uniformly, or a random rational in Q0."""
+        m = self.ctx.meadow
+        if m.is_finite:
+            return MeadowValue(m, self.rng.randrange(m.modulus))
+        return random_rational(self.rng)
+
+    def quantity(self) -> QuantityTerm:
+        return self.quantity_value().literal()
+
+    def atom(self) -> ProcessTerm:
+        r = self.rng.random()
+        if r < 0.15:
+            return Deadlock()
+        name = self.rng.choice(self.names)
+        if r < 0.60:
+            return Action(name)
+        return DataAction(name, (self.quantity(),))
+
+    def term(self, depth: int | None = None) -> ProcessTerm:
+        depth = self.max_depth if depth is None else depth
+        if depth <= 0:
+            return self.atom()
+        r = self.rng.random()
+        acc = 0.0
+        for op, w in _REF_OP_WEIGHTS:
+            acc += w
+            if r < acc:
+                break
+        if op == "alt":
+            return Alt(self.term(depth - 1), self.term(depth - 1))
+        if op == "seq":
+            return Seq(self.term(depth - 1), self.term(depth - 1))
+        if op == "par":
+            return Par(self.term(depth - 1), self.term(depth - 1))
+        if op == "guard":
+            return Guard(self.quantity(), self.term(depth - 1))
+        return self.atom()
+
+
+def reference_std_sample(specs, i: int, rng, gen, ctx: SpecContext) -> dict:
+    s: dict = {}
+    idx = i
+    for nm, kd in specs:
+        if kd == "p":
+            s[nm] = gen.term()
+        elif kd == "lit":
+            pool = gen.lit_pool
+            s[nm] = pool[idx % len(pool)]
+            idx //= len(pool)
+        elif kd == "q":
+            p = ctx.meadow.modulus
+            if p is not None:  # enumerated over the carrier
+                s[nm] = MeadowValue(ctx.meadow, idx % p)
+                idx //= p
+            else:
+                s[nm] = random_rational(rng)
+        elif kd == "const":
+            names = sorted(ctx.alphabet)
+            s[nm] = names[idx % len(names)]
+            idx //= len(names)
+        elif kd in ("h", "h+e", "h-e"):
+            names = sorted(ctx.alphabet)
+            h = {n for n in names if rng.random() < 0.5}
+            if kd == "h+e":
+                h.add(s["e"])
+            elif kd == "h-e":
+                h.discard(s["e"])
+            s[nm] = frozenset(h)
+        else:
+            raise ValueError(kd)
+    return s
+
+
+def reference_sample_dead_comm(i: int, rng, gen, ctx: SpecContext) -> dict:
+    pairs = sorted(
+        (a, b)
+        for a in ctx.alphabet
+        for b in ctx.alphabet
+        if (a, b) not in ctx.comm
+    )
+    if not pairs:
+        return {}
+    e, e2 = pairs[i % len(pairs)]
+    n = 1 + (i // len(pairs)) % 2
+    return {
+        "e": e,
+        "e2": e2,
+        "us": tuple(gen.quantity_value() for _ in range(n)),
+        "vs": tuple(gen.quantity_value() for _ in range(n)),
+    }
+
+
+def reference_sample_mixed_arity(i: int, rng, gen, ctx: SpecContext) -> dict:
+    names = sorted(ctx.alphabet)
+    e = names[i % len(names)]
+    e2 = names[(i // len(names)) % len(names)]
+    n = (i // (len(names) ** 2)) % 3  # 0-ary constant is a legal operand
+    m = n + 1 + i % 2
+    return {
+        "e": e,
+        "e2": e2,
+        "us": tuple(gen.quantity_value() for _ in range(n)),
+        "vs": tuple(gen.quantity_value() for _ in range(m)),
+    }
+
+
+MEADOWS = ["f3", "f5", "q0", "trivial"]
+
+# every variable kind of the standard sampler; "e" first, for "h+e" and "h-e"
+EVERY_KIND = [("e", "const"), ("x", "p"), ("a", "lit"), ("u", "q"), ("H", "h"),
+              ("y", "p"), ("b", "lit"), ("v", "q"), ("G", "h+e"), ("K", "h-e")]
+
+
+def _stream_ctx(meadow: str) -> SpecContext:
+    """Five names, given out of order, with one communication."""
+    return SpecContext(frozenset({"d", "b", "e", "a", "c"}), {("a", "b"): "c"},
+                       MeadowKind.from_name(meadow))
+
+
+class TestRandomStream:
+    """The generator and the samplers draw what the reference draws, in the
+    same order, so every seeded report stays the same."""
+
+    @pytest.mark.parametrize("meadow", MEADOWS)
+    def test_the_generator_returns_the_reference_terms(self, meadow):
+        ctx = _stream_ctx(meadow)
+        for depth in range(2, 6):
+            gen = TermGen(ctx, random.Random(f"{meadow}:{depth}"), max_depth=depth)
+            ref = ReferenceTermGen(ctx, random.Random(f"{meadow}:{depth}"), max_depth=depth)
+            for i in range(200):
+                assert gen.term() is ref.term(), (depth, i)
+                if i % 7 == 0:  # a draw of another depth, and a quantity, in between
+                    assert gen.term(i % depth) is ref.term(i % depth), (depth, i)
+                    assert gen.quantity() is ref.quantity(), (depth, i)
+            assert gen.lit_pool == ref.lit_pool
+            assert gen.rng.getstate() == ref.rng.getstate()
+
+    @pytest.mark.parametrize("meadow", MEADOWS)
+    def test_the_samplers_return_the_reference_substitutions(self, meadow):
+        ctx = _stream_ctx(meadow)
+        samplers = [
+            (lambda i, rng, gen, ctx: _std_sample(EVERY_KIND, i, rng, gen, ctx),
+             lambda i, rng, gen, ctx: reference_std_sample(EVERY_KIND, i, rng, gen, ctx)),
+            (axioms._sample_dead_comm, reference_sample_dead_comm),
+            (axioms._sample_mixed_arity, reference_sample_mixed_arity),
+            (axioms._sample_data_comm, axioms._sample_data_comm),
+        ]
+        for sample, reference in samplers:
+            rng, ref_rng = random.Random(meadow), random.Random(meadow)
+            gen, ref = TermGen(ctx, rng, max_depth=3), ReferenceTermGen(ctx, ref_rng, max_depth=3)
+            for i in range(120):
+                assert sample(i, rng, gen, ctx) == reference(i, ref_rng, ref, ctx), i
+            assert rng.getstate() == ref_rng.getstate()

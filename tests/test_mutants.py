@@ -151,6 +151,21 @@ ONE_ROTATION = ("_normalize", "the A5 rotation moves one level per call",
 
 SURVIVORS = [ARITY, NOOP, ORIENTATION, ONE_ROTATION]
 
+# The order in which `_render` prints a normal form's summands: by action, a
+# terminating summand first, then by the continuations' ordered summands,
+# a prefix first. Both routes compare interned normal forms, not their
+# text, so no disagreement can show these; a printed normal form does.
+RENDER = [
+    ("_render", "summands print in reverse action order",
+     "return -1 if s.action.sort_key() < t.action.sort_key() else 1",
+     "return 1 if s.action.sort_key() < t.action.sort_key() else -1"),
+    ("_render", "a terminating summand prints last",
+     "return -1 if c is None else 1", "return 1 if c is None else -1"),
+    ("_render", "a continuation that is a prefix of the other prints last",
+     "return -1 if len(order[c]) < len(order[d]) else 1",
+     "return 1 if len(order[c]) < len(order[d]) else -1"),
+]
+
 
 # (function of `meadow`, rule broken, text of the rule, its replacement)
 MEADOW_KILLED = [
@@ -358,3 +373,20 @@ def test_a_memo_neither_hides_a_mutant_nor_outlives_it(monkeypatch):
     assert str(normalize.normalize(t, ctx)) == "a . b + b . a + c"
     monkeypatch.undo()
     assert normalize.normalize(t, ctx) is before
+
+
+def prints_in_order() -> bool:
+    """Direct checks of the printed order of summands."""
+    ctx = default_context()
+    text = lambda src: str(normalize.normalize(parse_term(src, ctx), ctx))
+    return (text("b + a") == "a + b" and text("a . b + a") == "a + a . b"
+            and text("a . (b + c) + a . b") == "a . b + a . (b + c)")
+
+
+@pytest.mark.parametrize("name, rule, old, new", RENDER, ids=[m[1] for m in RENDER])
+def test_a_summand_order_mutant_is_killed_by_a_printed_normal_form(
+        monkeypatch, name, rule, old, new):
+    assert prints_in_order()
+    mutate(monkeypatch, name, old, new)
+    assert not killed()  # the dual check does not print
+    assert not prints_in_order(), f"{name}: {rule} survives"
