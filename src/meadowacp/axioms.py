@@ -68,16 +68,14 @@ def default_context(meadow: MeadowKind | None = None) -> SpecContext:
 # ---------------------------------------------------------------------------
 # Random closed term generation
 
-# A draw below _ALT makes an alt, else below _SEQ a seq, ..., and from _GUARD
-# on an atom: the weights 0.30, 0.25, 0.15, 0.10 and 0.20, summed once.
+# term()'s bounds: the running sums of the weights of alt, seq, par, guard (atom: 0.20)
 _ALT, _SEQ, _PAR, _GUARD = accumulate((0.30, 0.25, 0.15, 0.10))
 
 
 class TermGen:
     """Random closed, ground process terms: shallow and wide, biased away
-    from deadlock so the merge laws get exercised; one stream of draws per
-    seed.  In a finite meadow it keeps each atom and literal node it draws,
-    so a redraw is a read; in Q0, whose draws rarely repeat, the 0-ary atoms."""
+    from deadlock so the merge laws get exercised.  One seed gives one
+    stream of draws; each drawn value has one literal node per generator."""
 
     def __init__(self, ctx: SpecContext, rng: random.Random, max_depth: int = 4):
         self.ctx = ctx
@@ -87,9 +85,9 @@ class TermGen:
         m = ctx.meadow
         # the data literals' argument: the largest residue of a finite carrier, else 1
         data_arg = MeadowValue(m, m.modulus - 1) if m.is_finite else m.from_int(1)
-        self.lit_pool = [ActionLiteral(n, args) for args in ((), (data_arg,)) for n in self.names]
-        self.delta, self.actions = Deadlock(), [Action(n) for n in self.names]
-        self.literals, self.data_atoms = ({}, set()) if m.is_finite else (None, None)
+        self.lit_pool = [ActionLiteral(n) for n in self.names]
+        self.lit_pool += [ActionLiteral(n, (data_arg,)) for n in self.names]
+        self.literals: dict[MeadowValue, QuantityTerm] = {}
 
     def quantity_value(self) -> MeadowValue:
         """A carrier element drawn uniformly, or a random rational in Q0."""
@@ -100,11 +98,10 @@ class TermGen:
 
     def quantity(self) -> QuantityTerm:
         """The literal of a quantity_value() draw."""
-        if self.literals is None:
-            return random_rational(self.rng).literal()
-        r = self.rng.randrange(self.ctx.meadow.modulus)
-        if (lit := self.literals.get(r)) is None:
-            lit = self.literals[r] = MeadowValue(self.ctx.meadow, r).literal()
+        value = self.quantity_value()
+        lit = self.literals.get(value)
+        if lit is None:
+            lit = self.literals[value] = value.literal()
         return lit
 
     def term(self, depth: int | None = None) -> ProcessTerm:
@@ -121,14 +118,11 @@ class TermGen:
                 return Guard(self.quantity(), self.term(depth - 1))
         r = self.rng.random()  # an atom
         if r < 0.15:
-            return self.delta
-        action = self.rng.choice(self.actions)
+            return Deadlock()
+        name = self.rng.choice(self.names)
         if r < 0.60:
-            return action
-        atom = DataAction(action.name, (self.quantity(),))
-        if self.data_atoms is not None:
-            self.data_atoms.add(atom)
-        return atom
+            return Action(name)
+        return DataAction(name, (self.quantity(),))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +208,12 @@ def _sample_data_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
 
 
 def _sample_dead_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
-    pairs = [(a, b) for a in gen.names for b in gen.names if (a, b) not in ctx.comm]  # sorted
+    pairs = sorted(
+        (a, b)
+        for a in ctx.alphabet
+        for b in ctx.alphabet
+        if (a, b) not in ctx.comm
+    )
     if not pairs:
         return {}
     e, e2 = pairs[i % len(pairs)]
@@ -249,13 +248,12 @@ _SCHEMA_CTX = SpecContext(frozenset({"a", "b", "e"}), definitions=dict.fromkeys(
 
 
 def _instantiate_q(q: QuantityTerm, s: dict) -> QuantityTerm:
-    kind = type(q)
-    if kind is QVar:
+    if isinstance(q, QVar):
         return s[q.name].literal()
-    if kind is QAdd or kind is QMul:
-        return kind(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
-    if kind is QNeg or kind is QInv:
-        return kind(_instantiate_q(q.arg, s))
+    if isinstance(q, (QAdd, QMul)):
+        return type(q)(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
+    if isinstance(q, (QNeg, QInv)):
+        return type(q)(_instantiate_q(q.arg, s))
     return q
 
 
@@ -270,7 +268,9 @@ def _instantiate(t: ProcessTerm, s: dict) -> ProcessTerm:
         return Guard(_instantiate_q(t.cond, s), _instantiate(t.body, s))
     if kind is Encap:
         return Encap(s["H"], _instantiate(t.body, s))
-    return t if kind is Deadlock else kind(_instantiate(t.lhs, s), _instantiate(t.rhs, s))
+    if kind is Deadlock:
+        return t
+    return kind(_instantiate(t.lhs, s), _instantiate(t.rhs, s))
 
 
 def _eq(id: str, name: str, specs: list[VarSpec]) -> AxiomSchema:

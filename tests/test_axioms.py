@@ -327,9 +327,9 @@ class TestSchemasParsedFromNames:
         assert rhs == Seq(Guard(u.literal(), x), y)
 
 
-# The generator and the samplers as they were before the generator kept its
-# atoms and literals, compared its draw with bounds summed at import and
-# folded `atom` into `term`, and before the samplers read the sorted names
+# The generator and the samplers as they were before the generator kept one
+# literal node per drawn value, compared its draw with bounds summed at import
+# and folded `atom` into `term`, and before the samplers read the sorted names
 # from the generator. Kept verbatim, under new names, as the reference
 # whose random stream the current ones must follow draw for draw.
 _REF_OP_WEIGHTS = (("alt", 0.30), ("seq", 0.25), ("par", 0.15), ("guard", 0.10), ("atom", 0.20))
@@ -500,6 +500,7 @@ class TestRandomStream:
              lambda i, rng, gen, ctx: reference_std_sample(EVERY_KIND, i, rng, gen, ctx)),
             (axioms._sample_dead_comm, reference_sample_dead_comm),
             (axioms._sample_mixed_arity, reference_sample_mixed_arity),
+            # one sampler, two generators: it checks only their quantity_value() draws
             (axioms._sample_data_comm, axioms._sample_data_comm),
         ]
         for sample, reference in samplers:
