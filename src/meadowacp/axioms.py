@@ -199,6 +199,8 @@ def _std_sample(specs: list[VarSpec], i: int, rng, gen: TermGen, ctx: SpecContex
 def _sample_data_comm(i: int, rng, gen: TermGen, ctx: SpecContext) -> dict:
     """Pick a communicating name pair, an arity in {1, 2} and data tuples."""
     pairs = sorted(ctx.comm.items())
+    if not pairs:
+        return {}
     (e, e2), e3 = pairs[i % len(pairs)]
     n = 1 + (i // len(pairs)) % 2
     us = tuple(gen.quantity_value() for _ in range(n))
@@ -467,6 +469,8 @@ def _run_suite(
 ) -> AxiomReport:
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if not ctx.alphabet:
+        raise ValueError("the alphabet is empty: declare at least one action with act")
     violations = validate_comm_spec(ctx.comm, ctx.alphabet)
     if violations:
         raise ValueError("invalid communication function: " + "; ".join(violations))

@@ -556,6 +556,8 @@ def check_meadow_axioms(
     assignments; ``checked`` counts them up to the first that differs.
     Cancellation and the general inverse are read from the same columns.
     """
+    if mode not in ("exhaustive", "random"):
+        raise ValueError(f'mode must be "exhaustive" or "random", got {mode!r}')
     if mode == "exhaustive" and not m.is_finite:
         raise InfiniteCarrier("exhaustive check requested on the rational meadow")
     if mode != "exhaustive" and samples < 1:

@@ -8,7 +8,9 @@ what :func:`equal_terms` decides.
 
 A merge's basic term is the merge of its operands' basic terms (`_merge`);
 every other operator, and a merge under any of them, is stepped through its
-head normal form (`_hnf`).  The LTS and the oracle have rules of their own.
+head normal form (`_hnf`), which steps a sequence right-nested (A5), so a
+sequence under any operator normalises in linear time.  The LTS and the
+oracle have rules of their own, and step a sequence as it is written.
 """
 
 from __future__ import annotations
@@ -173,7 +175,8 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
 
     A rule reads an operand's hnf from the table before it recurses, and
     never recurses from inside a comprehension (a frame of its own before
-    Python 3.12), so each level of nesting costs one frame.  Dispatch is on
+    Python 3.12), so each level of nesting costs one frame; a sequence's
+    left spine is walked in a loop and costs none.  Dispatch is on
     the exact class, most frequent first: node classes are never
     subclassed.  An atom's ground action is kept on the atom node, as
     (meadow, literal) under ``_nf_lit``, a name the oracle does not read."""
@@ -200,8 +203,11 @@ def _hnf(engine: "Engine", t: ProcessTerm) -> Hnf:
                     if action is not None:
                         out[action, l if k is None else k if l is None else Par(k, l)] = None
     elif kind is Seq:
-        rhs = t.rhs
-        head = cache.get(t.lhs) or _hnf(engine, t.lhs)
+        # A5: (x . y) . z steps as x . (y . z), so every residual is right-nested
+        x, rhs = t.lhs, t.rhs
+        while type(x) is Seq:
+            x, rhs = x.lhs, Seq(x.rhs, rhs)
+        head = cache.get(x) or _hnf(engine, x)
         out = {(a, rhs if k is None else Seq(k, rhs)): None for a, k in head}
     elif kind is Alt:
         left = cache.get(t.lhs) or _hnf(engine, t.lhs)
@@ -284,15 +290,6 @@ class Engine:
             x = nf.get(t.lhs) or self._normalize(t.lhs)
             y = nf.get(t.rhs) or self._normalize(t.rhs)
             out = nf[t] = self._merges.get((x, y)) or _merge(self, x, y)
-            return out
-        if type(t) is Seq and type(t.lhs) is Seq:
-            # A5: (x . y) . z has the normal form of x . (y . z); stepping the
-            # whole left spine right-nested keeps a sequence linear, while
-            # the oracle still steps t as it is written
-            x, rest = t.lhs, t.rhs
-            while type(x) is Seq:
-                x, rest = x.lhs, Seq(x.rhs, rest)
-            out = nf[t] = self._normalize(Seq(x, rest))
             return out
         summands = []
         for a, k in self.hnf_cache.get(t) or _hnf(self, t):

@@ -86,6 +86,12 @@ class TestNormalize:
             assert out == ""
             assert err.startswith("error: term nested too deeply")
 
+    def test_a_right_nested_sequence_before_an_action(self, sample_spec_path, capsys):
+        # (a . (a . ... . a)) . b steps right-nested, one frame an action
+        run = " . (".join(["a"] * 700) + ")" * 699
+        assert main(["normalize", "--spec", sample_spec_path, f"({run}) . b"]) == 0
+        assert capsys.readouterr().out == " . ".join(["a"] * 700 + ["b"]) + "\n"
+
     def test_1000_deep_parentheses(self, sample_spec_path, capsys):
         # the parser keeps its own stack
         term = "(" * 1000 + "a" + ")" * 1000
@@ -281,6 +287,22 @@ class TestAxioms:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_a_spec_without_comm_checks_no_data_communication(self, tmp_path, capsys):
+        spec = tmp_path / "no-comm.acpm"
+        spec.write_text("act a, b;\nmeadow F 3;\n")
+        assert main(["axioms", "--spec", str(spec), "--samples", "5", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        (t312,) = [a for r in reports for a in r["axioms"] if a["id"] == "t3.12"]
+        assert (t312["status"], t312["checked"]) == ("pass", 0)
+
+    def test_a_spec_without_actions_exits_1(self, tmp_path, capsys):
+        spec = tmp_path / "no-act.acpm"
+        spec.write_text("meadow F 3;\n")
+        assert main(["axioms", "--spec", str(spec), "--samples", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: the alphabet is empty: declare at least one action with act\n"
 
     def test_unknown_meadow_exits_1(self, tmp_path, capsys):
         assert main(["axioms", "--meadow", "f4"]) == 1

@@ -390,6 +390,12 @@ class TestMeadowAxioms:
         assert report.passed(strict_separation=False)
         assert not report.passed(strict_separation=True)
 
+    @pytest.mark.parametrize("mode", ["exhastive", "Random", ""])
+    def test_an_unknown_mode_is_refused(self, mode):
+        # else a misspelt mode silently runs the random suite
+        with pytest.raises(ValueError, match="^mode must be"):
+            check_meadow_axioms(F3, mode=mode)
+
     def test_exhaustive_on_rationals_rejected(self):
         with pytest.raises(InfiniteCarrier):
             check_meadow_axioms(Q0, mode="exhaustive")
