@@ -21,12 +21,11 @@ from .lts import bisimilar_terms
 from .meadow import (
     MeadowKind,
     MeadowValue,
-    QAdd,
     QInv,
-    QMul,
     QNeg,
     QuantityTerm,
     QVar,
+    _LITERALS,
     random_rational,
 )
 from .normalize import BasicTerm, guard_chain, normal_forms, normalize
@@ -249,30 +248,30 @@ _SCHEMA_CTX = SpecContext(frozenset({"a", "b", "e"}), definitions=dict.fromkeys(
                           sets={"H": frozenset()})
 
 
-def _instantiate_q(q: QuantityTerm, s: dict) -> QuantityTerm:
-    if isinstance(q, QVar):
-        return s[q.name].literal()
-    if isinstance(q, (QAdd, QMul)):
-        return type(q)(_instantiate_q(q.lhs, s), _instantiate_q(q.rhs, s))
-    if isinstance(q, (QNeg, QInv)):
-        return type(q)(_instantiate_q(q.arg, s))
-    return q
-
-
 def _instantiate(t: ProcessTerm, s: dict) -> ProcessTerm:
-    """A schema side (no DataAction) with s substituted, by exact class."""
+    """A schema side (no DataAction), or a guard's condition, with s
+    substituted, by exact class."""
     kind = type(t)
     if kind is ProcVar:
         return s[t.name]
+    if kind is QVar:
+        return s[t.name].literal()
     if kind is Action:
         return Action(s["e"]) if t.name == "e" else s[t.name].term()
     if kind is Guard:
-        return Guard(_instantiate_q(t.cond, s), _instantiate(t.body, s))
+        return Guard(_instantiate(t.cond, s), _instantiate(t.body, s))
     if kind is Encap:
         return Encap(s["H"], _instantiate(t.body, s))
-    if kind is Deadlock:
+    if kind is QNeg or kind is QInv:
+        return kind(_instantiate(t.arg, s))
+    if kind is Deadlock or kind in _LITERALS:
         return t
     return kind(_instantiate(t.lhs, s), _instantiate(t.rhs, s))
+
+
+def _data_comm(s: dict) -> CommMerge:
+    """e(u1..un) | e'(v1..vm), the left side of t3.12-t3.14."""
+    return CommMerge(data_action(s["e"], s["us"]), data_action(s["e2"], s["vs"]))
 
 
 def _eq(id: str, name: str, specs: list[VarSpec]) -> AxiomSchema:
@@ -338,20 +337,14 @@ ENRICHED_AXIOMS: list[AxiomSchema] = [
                 "e | e' = e'' => e(u1..un) | e'(v1..vn) = "
                 "(u1 - v1) -> (... -> ((un - vn) -> e''(u1..un)))",
                 "eq", [],
-                lambda s: (CommMerge(data_action(s["e"], s["us"]),
-                                     data_action(s["e2"], s["vs"])),
-                           guard_chain(s["e3"], s["us"], s["vs"])),
+                lambda s: (_data_comm(s), guard_chain(s["e3"], s["us"], s["vs"])),
                 sample=_sample_data_comm),
     AxiomSchema("t3.13", "e | e' = delta => e(u1..un) | e'(v1..vn) = delta",
                 "eq", [],
-                lambda s: (CommMerge(data_action(s["e"], s["us"]),
-                                     data_action(s["e2"], s["vs"])),
-                           Deadlock()),
+                lambda s: (_data_comm(s), Deadlock()),
                 sample=_sample_dead_comm),
     AxiomSchema("t3.14", "e(u1..un) | e'(v1..vm) = delta  if n != m", "eq", [],
-                lambda s: (CommMerge(data_action(s["e"], s["us"]),
-                                     data_action(s["e2"], s["vs"])),
-                           Deadlock()),
+                lambda s: (_data_comm(s), Deadlock()),
                 sample=_sample_mixed_arity),
     # t3.15, t3.16: the argument list u1..un does not parse
     AxiomSchema("t3.15", "encap(H, e(u1..un)) = e(u1..un)  if e notin H", "eq",

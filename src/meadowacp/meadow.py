@@ -280,7 +280,7 @@ class MeadowValue(namedtuple("MeadowValue", "meadow value")):
 
     def literal(self) -> "QuantityTerm":
         """The canonical quantity literal denoting this value."""
-        return quantity_literal(Fraction(self.value))
+        return quantity_literal(self.value)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -364,14 +364,16 @@ class QInv(QuantityTerm):
     arg: QuantityTerm
 
 
-def quantity_literal(q: Fraction) -> QuantityTerm:
-    """Canonical literal node for a rational: 0 and 1 use their own node
-    kinds so printed terms re-parse to identical trees."""
-    if q == 0:
-        return QZero()
-    if q == 1:
-        return QOne()
-    return QConst(q)
+def quantity_literal(q: Fraction | int) -> QuantityTerm:
+    """Canonical literal node for a raw meadow value, a reduced Fraction or
+    an int residue: 0 and 1 use their own node kinds so printed terms
+    re-parse to identical trees."""
+    if q.denominator == 1:
+        if q.numerator == 0:
+            return QZero()
+        if q.numerator == 1:
+            return QOne()
+    return QConst(Fraction(q))
 
 
 _LITERALS = (QConst, QZero, QOne)

@@ -21,7 +21,6 @@ parentheses.  A guard's body is a factor, so "[q] -> P . Q" is
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .meadow import (
     MeadowError,
@@ -274,7 +273,7 @@ class _Parser:
                     ops.append(_NEG)
                     continue
                 elif kind == "int" and quantity:
-                    vals.append(quantity_literal(Fraction(int(text))))
+                    vals.append(quantity_literal(int(text)))
                 elif kind != "ident":
                     self.error(f"expected a name, found {text!r}", tok)
                 elif quantity and text == "inv":

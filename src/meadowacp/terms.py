@@ -202,6 +202,7 @@ class SpecContext:
 
 
 _BINARY = (Alt, Seq, Par, LeftMerge, CommMerge)
+_ATOMS = (Deadlock, Action, DataAction, ProcVar)  # a ProcVar here has no definition
 _PAIRS = frozenset((*_BINARY, QAdd, QMul))  # the nodes with an lhs and an rhs
 
 
@@ -210,8 +211,6 @@ def free_vars(t: ProcessTerm) -> tuple[frozenset[str], frozenset[str]]:
     stack over its distinct nodes, by exact class, that skips marked ones.
     When nothing is free it marks each node it passed: being closed and
     ground does not depend on the context, so the shared node keeps it."""
-    if t._closed:  # a gated root: nothing to walk
-        return frozenset(), frozenset()
     procs, quants, passed = set(), set(), set()
     stack = [t]
     while stack:
@@ -248,19 +247,6 @@ def free_quantity_vars(t: ProcessTerm) -> frozenset[str]:
     return free_vars(t)[1]
 
 
-def _map_children(t: ProcessTerm, f) -> ProcessTerm:
-    """t with f applied to its children; t itself (interned) if f changes none."""
-    if isinstance(t, (Deadlock, Action, DataAction, ProcVar)):
-        return t
-    if isinstance(t, _BINARY):
-        return type(t)(f(t.lhs), f(t.rhs))
-    if isinstance(t, Encap):
-        return Encap(t.hide, f(t.body))
-    if isinstance(t, Guard):
-        return Guard(t.cond, f(t.body))
-    raise TypeError(f"not a process term: {t!r}")
-
-
 def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     """Replace every reference to a named definition by its (inlined) body.
 
@@ -280,36 +266,46 @@ def inline_definitions(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
         return t
     done: dict[ProcessTerm, ProcessTerm] = {}
     path: list[str] = []  # the definitions being expanded, outermost first
-    stack: list[tuple[ProcessTerm, bool]] = [(t, False)]
+    # (node, None) until the node is entered, then (node, its class) above its children
+    stack: list[tuple[ProcessTerm, type | None]] = [(t, None)]
     while stack:
-        node, children_done = stack.pop()
-        if children_done:
-            if isinstance(node, ProcVar) and node.name in defs:
-                path.pop()
-                done[node] = done[defs[node.name]]
-            else:
-                done[node] = _map_children(node, done.__getitem__)
+        node, kind = stack.pop()
+        if kind is ProcVar:
+            path.pop()
+            done[node] = done[defs[node.name]]
+        elif kind is Encap:
+            done[node] = Encap(node.hide, done[node.body])
+        elif kind is Guard:
+            done[node] = Guard(node.cond, done[node.body])
+        elif kind is not None:
+            done[node] = kind(done[node.lhs], done[node.rhs])
         elif node._closed:
             done[node] = node
         elif node not in done:
-            stack.append((node, True))
-            if isinstance(node, ProcVar) and node.name in defs:
+            kind = type(node)
+            if kind is ProcVar and node.name in defs:
                 if node.name in path:
                     cycle = path[path.index(node.name):] + [node.name]
                     raise ProcessError("cyclic definitions: " + " -> ".join(cycle))
                 path.append(node.name)
-                stack.append((defs[node.name], False))
-            elif isinstance(node, _BINARY):
-                stack.append((node.rhs, False))
-                stack.append((node.lhs, False))
-            elif isinstance(node, (Encap, Guard)):
-                stack.append((node.body, False))
+                stack += ((node, kind), (defs[node.name], None))
+            elif kind in _BINARY:
+                stack += ((node, kind), (node.rhs, None), (node.lhs, None))
+            elif kind is Encap or kind is Guard:
+                stack += ((node, kind), (node.body, None))
+            elif kind in _ATOMS:
+                done[node] = node
+            else:
+                raise TypeError(f"not a process term: {node!r}")
     return done[t]
 
 
 def closed_ground_term(t: ProcessTerm, ctx: SpecContext) -> ProcessTerm:
     """The gate of every query: t with its definitions inlined, checked to
-    be closed and ground (else OpenTerm)."""
+    be closed and ground (else OpenTerm).  A root that free_vars marked
+    holds no variable, so it is returned as it is."""
+    if t._closed:
+        return t
     g = inline_definitions(t, ctx)
     fv, qv = free_vars(g)
     if fv:

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import meadowacp
-from meadowacp import AxiomReport, BasicTerm, TermGen, axioms, cli, default_context, pretty_term
+from meadowacp import (AxiomReport, BasicTerm, QAdd, QVar, TermGen, axioms, cli, default_context,
+                       meadow, pretty_term)
 from meadowacp.cli import main
 from test_golden import BINARY, MUTATED_SPEC, Q0_TERMS, SPEC_TEXTS, mutate, random_process
 
@@ -295,6 +296,29 @@ class TestAxioms:
         reports = json.loads(capsys.readouterr().out)
         (t312,) = [a for r in reports for a in r["axioms"] if a["id"] == "t3.12"]
         assert (t312["status"], t312["checked"]) == ("pass", 0)
+
+    def test_a_total_gamma_checks_no_dead_communication(self, tmp_path, capsys):
+        spec = tmp_path / "total-comm.acpm"
+        spec.write_text("act a;\ncomm a | a = a;\nmeadow F 3;\n")
+        assert main(["axioms", "--spec", str(spec), "--samples", "5", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert all(a["status"] == "pass" for r in reports for a in r["axioms"])
+        (t313,) = [a for r in reports for a in r["axioms"] if a["id"] == "t3.13"]
+        assert (t313["status"], t313["checked"]) == ("pass", 0)
+
+    def test_a_failing_axiom_prints_its_counterexample(self, monkeypatch, capsys):
+        u, v = QVar("u"), QVar("v")
+        false = ("t1.99", QAdd(u, v), u)
+        monkeypatch.setattr(meadow, "MEADOW_AXIOMS", [*meadow.MEADOW_AXIOMS, false])
+        assert main(["axioms", "--meadow", "f3"]) == 1
+        out = capsys.readouterr().out
+        fail = "  FAIL t1.99  u + v = u  (4 checked)\n"
+        assert f"\n{fail}        u: 0\n        v: 1\n        w: 0\n" in out
+        assert out.endswith("\nRESULT: FAIL\n")
+        assert main(["axioms", "--meadow", "f3", "--json"]) == 1
+        (report,) = json.loads(capsys.readouterr().out)
+        assert report["axioms"][-1]["status"] == "fail"
+        assert report["axioms"][-1]["counterexample"] == {"u": "0", "v": "1", "w": "0"}
 
     def test_a_spec_without_actions_exits_1(self, tmp_path, capsys):
         spec = tmp_path / "no-act.acpm"

@@ -243,6 +243,28 @@ class TestEvalQuantity:
         assert quantity_literal(Fraction(0)) == QZero()
         assert quantity_literal(Fraction(1)) == QOne()
         assert quantity_literal(Fraction(2)) == QConst(Fraction(2))
+        # a raw value, an int residue or a reduced Fraction, gives its Fraction's node
+        for raw in (0, 1, 2, 16, Fraction(0), Fraction(1), Fraction(-1), Fraction(7, 2)):
+            node = QZero() if raw == 0 else QOne() if raw == 1 else QConst(Fraction(raw))
+            assert quantity_literal(raw) is node and type(node.value) is Fraction
+        for m in (Q0, F3, F17, TRIVIAL):
+            for v in (*map(m.from_int, (0, 1, -2)), m.from_fraction(Fraction(3, 4))):
+                assert v.literal() is quantity_literal(Fraction(v.value))
+
+
+class TestPrettyQuantity:
+    @pytest.mark.parametrize("t, text", [
+        (QMul(QConst(Fraction(-1, 2)), QVar("u")), "(-1/2) * u"),
+        (QMul(QVar("u"), QConst(Fraction(1, 2))), "u * (1/2)"),
+        (QAdd(QVar("u"), QConst(Fraction(-3))), "u + (-3)"),
+        (QNeg(QConst(Fraction(-3))), "-(-3)"),
+    ])
+    def test_a_negative_or_fractional_literal_under_an_operator_is_bracketed(self, ctx, t, text):
+        assert pretty_quantity(t) == text
+        cond = parse_term(f"[{text}] -> a", ctx).cond
+        for u in (Fraction(0), Fraction(5, 7), Fraction(-4)):
+            env = {"u": Q0.from_fraction(u)}
+            assert eval_quantity(cond, env, Q0) == eval_quantity(t, env, Q0)
 
 
 class TestColumnEvaluation:

@@ -53,7 +53,7 @@ from meadowacp import (
     normalize,
     validate_comm_spec,
 )
-from meadowacp import meadow
+from meadowacp import meadow, terms
 from meadowacp.terms import free_vars
 
 
@@ -261,6 +261,12 @@ class TestDefinitions:
         )
         assert inline_definitions(ProcVar("Q"), ctx) == Par(Action("a"), Action("a"))
 
+    def test_a_quantity_node_is_no_process_term(self):
+        with pytest.raises(TypeError, match=r"^not a process term: QVar\(name='u'\)$"):
+            inline_definitions(QVar("u"), self._ctx())
+        with pytest.raises(TypeError, match=r"^not a process term: QAdd\("):
+            inline_definitions(Seq(ProcVar("P"), QAdd(QVar("u"), QOne())), self._ctx())
+
 
 class TestGate:
     """closed_ground_term: the one check every query makes of its term."""
@@ -306,6 +312,18 @@ class TestGate:
         assert closed_ground_term(root, ctx) is root
         assert set(visited) == {id(root)}
         assert root._closed
+
+    def test_a_marked_root_is_returned_without_a_walk(self, monkeypatch):
+        ctx = self._ctx()
+        g = closed_ground_term(Par(ProcVar("P"), Action("marked-root-b")), ctx)
+        assert g._closed
+
+        def walk(*args):
+            raise AssertionError("a marked root was walked")
+
+        monkeypatch.setattr(terms, "inline_definitions", walk)
+        monkeypatch.setattr(terms, "free_vars", walk)
+        assert closed_ground_term(g, ctx) is g
 
     def test_a_100k_term_quantity_sum_passes_the_gate(self):
         t = Guard(_quantity_sum(100_000, QOne()), Action("a"))
